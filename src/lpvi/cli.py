@@ -5,7 +5,8 @@ Exit codes:
   1  a checked claim failed (check-map violation, verify failure,
      oracle disagreement)
   2  configuration problem (malformed config or flags, inconsistent
-     certificate, unusable sampling region, oversized grid)
+     certificate, unusable sampling region, grid over the oracle's work
+     caps, unwritable --out)
   3  iteration limit reached before convergence
   4  divergence (non-finite iterates)
   5  unsupported space / set / oracle combination
@@ -68,11 +69,10 @@ def _vec(x) -> list:
     return [float(v) for v in np.asarray(x).ravel()]
 
 
-def _write_trace(path: str, trace):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("iter,step_norm,residual\n")
-        for k, step, residual in trace:
-            handle.write(f"{k},{step:.17g},{residual:.17g}\n")
+def _write_trace(handle, trace):
+    handle.write("iter,step_norm,residual\n")
+    for k, step, residual in trace:
+        handle.write(f"{k},{step:.17g},{residual:.17g}\n")
 
 
 def cmd_solve(args) -> int:
@@ -83,13 +83,21 @@ def cmd_solve(args) -> int:
     tol = args.tol if args.tol is not None else cfg.solver.tol
     max_iter = args.max_iter if args.max_iter is not None else cfg.solver.max_iter
     chosen, certification = select_lambda(cfg.problem, lam)
+    # opened before the solve, so an unwritable path fails fast
     try:
-        report = picard_solve(cfg.problem, chosen, cfg.solver.x0, tol=tol,
-                              max_iter=max_iter, certification=certification)
-    except DivergenceError as exc:
-        _write_trace(args.out, exc.trace)  # partial trace is still evidence
-        raise
-    _write_trace(args.out, report.trace)
+        handle = open(args.out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: cannot open for writing:"
+                          f" {exc.strerror}") from exc
+    with handle:
+        try:
+            report = picard_solve(cfg.problem, chosen, cfg.solver.x0, tol=tol,
+                                  max_iter=max_iter,
+                                  certification=certification)
+        except DivergenceError as exc:
+            _write_trace(handle, exc.trace)  # partial trace is still evidence
+            raise
+        _write_trace(handle, report.trace)
     _emit({
         "certification": report.certification.value,
         "contraction_factor_sq": report.contraction_factor_sq,

@@ -295,8 +295,6 @@ def certificate_feasibility(cert: Certificate) -> FeasibilityReport:
             " consistency bound forces 5*mu < mu")
     if not consistent:
         verdict = Feasibility.INCONSISTENT
-    elif strict:
-        verdict = Feasibility.STRICT
     elif v > u * mu * mu:
         verdict = Feasibility.HILBERT_ONLY
     else:

@@ -11,6 +11,13 @@ deficits of order h * (|Bu| + mu * diam), so the tolerance must carry
 both h and |Bu|. slack_scale = 0.5 keeps the accepted set within about
 one cell of the solution on unit-box instances whose solution lies on
 the grid; larger scales accept proportionally wider bands.
+
+Most grid points fail against a single rival, so every candidate u is
+first screened against the grid point v minimizing <Bu, v> (at p = 2
+that rival attains the minimum over the grid exactly). Only survivors
+of the screen get the full scan over all rivals. Both kinds of work are
+capped: MAX_SCREEN_PAIRS bounds the candidate x rival pairs the screen
+forms, MAX_SCAN_ROWS the duality-map rows the full scans form.
 """
 
 from __future__ import annotations
@@ -26,8 +33,17 @@ from .solver import Problem
 from .spaces import (as_vector, check_exponent, duality_map, duality_map_rows,
                      norm_rows, p_norm, pairing, pairing_rows)
 
-MAX_GRID_POINTS = 1_000_000
 MAX_GRID_DIM = 3
+MAX_SCREEN_PAIRS = 20_000_000_000
+MAX_SCAN_ROWS = 100_000_000
+# the screen's (rows, m) product holds about this many elements per block,
+# but never fewer than _SCREEN_MIN_ROWS rows: below that, per-block
+# overhead dominates the time per pair
+_SCREEN_BLOCK_ELEMS = 1 << 16
+_SCREEN_MIN_ROWS = 16
+# relative rounding gap allowed between the screen's pairing and the full
+# scan's pairing of the same rival (same J row, other reduction order)
+_SCREEN_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,9 +61,12 @@ class GridSpec:
         total = 1
         for c in counts:
             total *= c
-        if total > MAX_GRID_POINTS:
+        # the screen pairs each grid point in C with each other one, so
+        # it forms at most total^2 pairs
+        if total * total > MAX_SCREEN_PAIRS:
             raise ResourceError(
-                f"grid of {total} points exceeds the cap of {MAX_GRID_POINTS}")
+                f"grid of {total} points needs up to {total * total} screen"
+                f" pairs, over the cap MAX_SCREEN_PAIRS = {MAX_SCREEN_PAIRS}")
         object.__setattr__(self, "counts", counts)
 
 
@@ -72,10 +91,38 @@ def grid_bounds(cset) -> tuple[np.ndarray, np.ndarray]:
         f" got {type(cset).__name__}")
 
 
+def _screen(inside: np.ndarray, images: np.ndarray, floors: np.ndarray,
+            p: float) -> np.ndarray:
+    """Mask of the candidates that survive one pairing against their rival.
+
+    Candidate i is paired with J(v - inside[i]) for the v in `inside`
+    minimizing <images[i], v>, in row blocks sized so the block's (rows, m)
+    product stays small. That pairing is one of the terms the full scan
+    minimizes, so a candidate rejected here is rejected there too. The
+    full scan sums the same products in another order, so a candidate is
+    rejected only when it misses its floor by more than that rounding gap.
+    """
+    m = inside.shape[0]
+    rows = max(_SCREEN_MIN_ROWS, _SCREEN_BLOCK_ELEMS // max(m, 1))
+    keep = np.ones(m, dtype=bool)
+    for start in range(0, m, rows):
+        block = slice(start, start + rows)
+        rival = np.argmin(images[block] @ inside.T, axis=1)
+        js = duality_map_rows(inside[rival] - inside[block], p)
+        screened = pairing_rows(js, images[block])
+        margin = _SCREEN_MARGIN * pairing_rows(np.abs(js), np.abs(images[block]))
+        keep[block] = screened >= floors[block] - margin
+    return keep
+
+
 def grid_vi_solve(problem: Problem, grid: GridSpec,
                   slack_scale: float = 0.5) -> GridSolution:
     """Accept every grid point u in C whose worst pairing against all grid
-    rivals v in C stays above -slack_scale * h * (1 + |Bu|)."""
+    rivals v in C stays above -slack_scale * h * (1 + |Bu|).
+
+    Raises ResourceError when the screen's survivors would need more than
+    MAX_SCAN_ROWS rival rows of full scan.
+    """
     if not slack_scale > 0.0:
         raise InvalidInputError(f"slack_scale must be positive, got {slack_scale}")
     n = problem.space.n
@@ -93,13 +140,20 @@ def grid_vi_solve(problem: Problem, grid: GridSpec,
     inside = pts[members_mask(problem.cset, pts, tol=1e-12)]
     h = float(np.max(spacing))
     images = evaluate_rows(problem.mapping, inside)
-    image_norms = norm_rows(images, p)
+    floors = -slack_scale * h * (1.0 + norm_rows(images, p))
+    survivors = np.flatnonzero(_screen(inside, images, floors, p))
+    m = inside.shape[0]
+    if survivors.size * m > MAX_SCAN_ROWS:
+        raise ResourceError(
+            f"{survivors.size} of {m} grid points survive the screen; their"
+            f" full scans need {survivors.size * m} rival rows, over the cap"
+            f" MAX_SCAN_ROWS = {MAX_SCAN_ROWS}")
     accepted = []
     worsts = []
-    for i in range(inside.shape[0]):
+    for i in survivors:
         rivals = duality_map_rows(inside - inside[i], p)
         worst = float(np.min(rivals @ images[i]))
-        if worst >= -slack_scale * h * (1.0 + image_norms[i]):
+        if worst >= floors[i]:
             accepted.append(inside[i])
             worsts.append(worst)
     return GridSolution(

@@ -12,8 +12,9 @@ Step-size certification comes in two regimes, both driven by a
                  additionally satisfying lam * mu^2 * (bound - lam) < 1,
                  where bound = (v - u mu^2 - 5 mu) / mu^2. Valid in any
                  lp space, but no consistent certificate reaches it (see
-                 certificate_feasibility), so it is carried for
-                 completeness.
+                 certificate_feasibility), so select_lambda never picks
+                 it; its intervals and factor are kept as the record of
+                 the rule.
   hilbert rule   p = 2 only; admissible lam in (0, 2 (v - u mu^2) / mu^2),
                  the classical cocoercive-descent window, with midpoint
                  lam = (v - u mu^2) / mu^2 as the automatic choice.
@@ -64,7 +65,6 @@ class Problem:
 
 
 class Certification(str, Enum):
-    STRICT = "strict"
     HILBERT = "hilbert"
     UNCERTIFIED = "uncertified"
 
@@ -82,7 +82,7 @@ class SolveReport:
     lam: float
     certification: Certification
     status: SolveStatus
-    contraction_factor_sq: float | None = None
+    contraction_factor_sq: float | None = None  # certifying rule's; None if uncertified
     trace: list = field(default_factory=list)
 
 
@@ -148,9 +148,9 @@ def select_lambda(problem: Problem, lam: float | None = None
 
     An explicit lam wins and is marked uncertified. Otherwise the
     certificate decides: inconsistent certificates are refused outright,
-    the strict rule is tried first (midpoint of the lowest admissible
-    interval), then the Hilbert rule when p = 2. No applicable rule is a
-    configuration error asking for an explicit step size.
+    and the Hilbert rule applies when p = 2 (no consistent certificate
+    meets the strict rule). No applicable rule is a configuration error
+    asking for an explicit step size.
     """
     if lam is not None:
         lam = float(lam)
@@ -165,11 +165,6 @@ def select_lambda(problem: Problem, lam: float | None = None
         raise ConfigError(
             "certificate is inconsistent (v > mu + u mu^2 is impossible for"
             " any mapping); refusing to auto-select a step size")
-    if report.verdict is Feasibility.STRICT:
-        intervals = strict_step_intervals(problem.cert)
-        if intervals:
-            lo, hi = intervals[0]
-            return (lo + hi) / 2.0, Certification.STRICT
     if problem.space.p == 2.0:
         window = hilbert_step_interval(problem.cert)
         if window is not None:
@@ -200,6 +195,8 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
         raise InvalidInputError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+    if certification is Certification.HILBERT and problem.cert is None:
+        raise InvalidInputError("hilbert certification needs a certificate")
     p = problem.space.p
     trace: list[tuple[int, float, float]] = []
 
@@ -230,8 +227,8 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
         if stop:
             status = SolveStatus.CONVERGED
             break
-    factor = (contraction_factor_sq(problem.cert, lam)
-              if problem.cert is not None else None)
+    factor = (hilbert_factor_sq(problem.cert, lam)
+              if certification is Certification.HILBERT else None)
     return SolveReport(final_point=x, iterations=iterations,
                        final_residual=residual, lam=lam,
                        certification=certification, status=status,

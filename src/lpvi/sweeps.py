@@ -129,8 +129,11 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
         qqx = np.stack([retract(cset, row, p) for row in qx])
         rep.max_idempotence_dev = max(
             rep.max_idempotence_dev, float(np.max(np.abs(qqx - qx))))
+        # centred on the point of C nearest the origin, the box always
+        # keeps half its volume inside a halfspace
+        centre = retract(cset, np.zeros(n), p)
         members = sample_in_set(cset, 64, seed + 1,
-                                bounds=((np.full(n, -6.0), np.full(n, 6.0))
+                                bounds=((centre - 6.0, centre + 6.0)
                                         if isinstance(cset, Halfspace) else None))
         fixed = np.stack([retract(cset, row, p) for row in members])
         rep.max_identity_dev = max(

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,8 @@ def test_solve_happy_path(tmp_path, capsys):
     assert summary["iterations"] == 2
     assert summary["final_residual"] == 0.0
     assert summary["trace"] == out_csv
+    # the Hilbert rule's factor at lambda = 0.9, not the strict rule's 5.5
+    assert summary["contraction_factor_sq"] == pytest.approx(0.19, rel=1e-12)
     lines = Path(out_csv).read_text().splitlines()
     assert lines[0] == "iter,step_norm,residual"
     assert lines[1] == "1,1.4142135623730951,0"
@@ -80,7 +83,19 @@ def test_solve_explicit_lambda_is_uncertified(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--config", cfg,
                        "--out", str(tmp_path / "t.csv"), "--lambda", "0.5")
     assert code == 0
-    assert json.loads(out)["certification"] == "uncertified"
+    summary = json.loads(out)
+    assert summary["certification"] == "uncertified"
+    assert summary["contraction_factor_sq"] is None
+
+
+def test_solve_unwritable_out_fails_before_solving(tmp_path, capsys):
+    cfg = write(tmp_path, BOX_IDENTITY)
+    out_csv = tmp_path / "missing" / "trace.csv"
+    code, out, err = run(capsys, "solve", "--config", cfg, "--out", str(out_csv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out ") and str(out_csv) in err
+    assert "Traceback" not in err
 
 
 def test_solve_refuses_auto_step_from_inconsistent_certificate(tmp_path, capsys):
@@ -321,6 +336,16 @@ def test_oracle_grid_cap(tmp_path, capsys):
     cfg = write(tmp_path, BOX_IDENTITY)
     code, _, err = run(capsys, "oracle", "--config", cfg, "--grid", "1100,1100")
     assert code == 2 and "cap" in err
+
+
+def test_oracle_over_cap_grid_is_refused_at_once(tmp_path, capsys):
+    cfg = write(tmp_path, BOX_IDENTITY)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--config", cfg, "--grid", "999,1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "MAX_SCREEN_PAIRS" in err
+    assert "Traceback" not in err
 
 
 def test_module_entry_point_runs_in_a_subprocess():

@@ -6,7 +6,10 @@ from lpvi import (Affine, Ball, Box, GridSpec, Halfspace, InvalidInputError,
                   UnsupportedOracleError, WholeSpace, check_pairing_inequality,
                   grid_bounds, grid_vi_solve, hilbert_rule_factor,
                   pairing_inequality_sweep, picard_solve)
-from lpvi.spaces import p_norm
+from lpvi import oracle
+from lpvi.maps import evaluate_rows
+from lpvi.sets import members_mask
+from lpvi.spaces import duality_map_rows, norm_rows, p_norm
 
 BOX12 = Box([1.0, 1.0], [2.0, 2.0])
 
@@ -84,8 +87,89 @@ def test_grid_dimension_cap():
         grid_vi_solve(prob, GridSpec((5, 5, 5, 5)))
 
 
+def reference_grid_vi_solve(problem, counts, slack_scale=0.5):
+    """The unscreened oracle: a full scan of every candidate."""
+    n, p = problem.space.n, problem.space.p
+    lo, hi = grid_bounds(problem.cset)
+    axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(n)]
+    h = max((hi[i] - lo[i]) / (counts[i] - 1) for i in range(n))
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    inside = pts[members_mask(problem.cset, pts, tol=1e-12)]
+    images = evaluate_rows(problem.mapping, inside)
+    image_norms = norm_rows(images, p)
+    accepted = []
+    worsts = []
+    for i in range(inside.shape[0]):
+        rivals = duality_map_rows(inside - inside[i], p)
+        worst = float(np.min(rivals @ images[i]))
+        if worst >= -slack_scale * h * (1.0 + image_norms[i]):
+            accepted.append(inside[i])
+            worsts.append(worst)
+    return (np.array(accepted) if accepted else np.empty((0, n)),
+            np.array(worsts))
+
+
+def random_instance(rng, n, p, ball=False, scale=None):
+    if ball:
+        cset = Ball(n, float(rng.uniform(0.5, 2.0)))
+    else:
+        lo = rng.uniform(-2.0, 1.0, size=n)
+        cset = Box(lo, lo + rng.uniform(0.5, 2.0, size=n))
+    a = rng.standard_normal((n, n))
+    matrix = (a @ a.T + 0.1 * np.eye(n) if scale is None
+              else scale * np.eye(n))
+    offset = rng.standard_normal(n) if scale is None else np.zeros(n)
+    return Problem(SpaceSpec(n, p), cset, Affine(matrix, offset))
+
+
+POINTS_PER_AXIS = {1: 40, 2: 13, 3: 6}
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_screened_oracle_matches_the_full_scan(p, n):
+    rng = np.random.default_rng([int(10 * p), n])
+    shapes = [False] * 3 + ([True] * 2 if p == 2.0 else [])
+    for ball in shapes:
+        prob = random_instance(rng, n, p, ball=ball)
+        counts = (POINTS_PER_AXIS[n],) * n
+        sol = grid_vi_solve(prob, GridSpec(counts))
+        accepted, worsts = reference_grid_vi_solve(prob, counts)
+        assert np.array_equal(sol.accepted, accepted)
+        assert np.array_equal(sol.worst_pairings, worsts)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_screened_oracle_matches_when_every_candidate_survives(p):
+    prob = random_instance(np.random.default_rng(5), 2, p, scale=1e-9)
+    sol = grid_vi_solve(prob, GridSpec((13, 13)))
+    accepted, worsts = reference_grid_vi_solve(prob, (13, 13))
+    assert sol.accepted.shape[0] == sol.searched == 169
+    assert np.array_equal(sol.accepted, accepted)
+    assert np.array_equal(sol.worst_pairings, worsts)
+
+
+def test_grid_with_no_point_inside_the_set():
+    prob = Problem(SpaceSpec(2, 2.0), Ball(2, 1.0), Affine(np.eye(2)))
+    sol = grid_vi_solve(prob, GridSpec((2, 2)))  # only the box corners
+    assert sol.searched == 0 and sol.accepted.shape == (0, 2)
+
+
+def test_full_scan_cap_is_checked_before_the_scans(monkeypatch):
+    prob = Problem(SpaceSpec(2, 2.0), BOX12, Affine(np.zeros((2, 2))))
+    monkeypatch.setattr(oracle, "MAX_SCAN_ROWS", 121 * 121 - 1)
+    calls = []
+    monkeypatch.setattr(oracle, "duality_map_rows",
+                        lambda xs, p: calls.append(len(xs)) or duality_map_rows(xs, p))
+    with pytest.raises(ResourceError, match="MAX_SCAN_ROWS"):
+        grid_vi_solve(prob, GridSpec((11, 11)))
+    assert len(calls) < 121  # screen blocks only: no candidate was scanned
+    monkeypatch.setattr(oracle, "MAX_SCAN_ROWS", 121 * 121)
+    assert grid_vi_solve(prob, GridSpec((11, 11))).accepted.shape[0] == 121
+
+
 def test_grid_spec_validation():
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="MAX_SCREEN_PAIRS"):
         GridSpec((1001, 1001))
     with pytest.raises(InvalidInputError):
         GridSpec((41, 1))

@@ -50,3 +50,13 @@ def test_retraction_suite_clean():
 def test_retraction_suite_validates_pairs():
     with pytest.raises(InvalidInputError):
         retraction_suite(pairs=0)
+
+
+def test_retraction_suite_samples_a_halfspace_far_from_the_origin():
+    # at the default sizes, seed 1257 draws a halfspace that misses the
+    # [-6, 6]^n box around the origin
+    rep = retraction_suite(seed=1257)
+    assert rep.max_hilbert_sunny_dev <= 1e-12
+    assert rep.max_identity_dev <= 1e-12
+    assert rep.min_characterization >= -TOL
+    assert rep.min_projection_inequality >= -TOL
