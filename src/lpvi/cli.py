@@ -6,7 +6,8 @@ Exit codes:
      oracle disagreement)
   2  configuration problem (malformed config or flags, inconsistent
      certificate, unusable sampling region, grid over the oracle's work
-     caps, unwritable --out)
+     caps or with no point inside the set, unwritable --out, nonpositive
+     tol or max_iter)
   3  iteration limit reached before convergence
   4  divergence (non-finite iterates)
   5  unsupported space / set / oracle combination
@@ -37,7 +38,8 @@ from .maps import (Feasibility, certificate_feasibility,
 from .oracle import (GridSpec, grid_bounds, grid_vi_solve,
                      hilbert_rule_factor, pairing_inequality_sweep)
 from .sets import Ball, Box
-from .solver import SolveStatus, picard_solve, select_lambda
+from .solver import (SolveStatus, check_stopping_rule, picard_solve,
+                     select_lambda)
 from .sweeps import duality_sweep, retraction_suite
 
 _ENV_SEED = "LPVI_SEED"
@@ -83,7 +85,9 @@ def cmd_solve(args) -> int:
     tol = args.tol if args.tol is not None else cfg.solver.tol
     max_iter = args.max_iter if args.max_iter is not None else cfg.solver.max_iter
     chosen, certification = select_lambda(cfg.problem, lam)
-    # opened before the solve, so an unwritable path fails fast
+    check_stopping_rule(tol, max_iter)
+    # opened before the solve, so an unwritable path fails fast and a
+    # refused run leaves no file behind
     try:
         handle = open(args.out, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -257,6 +261,10 @@ def cmd_oracle(args) -> int:
     else:
         counts = (41,) * n
     sol = grid_vi_solve(problem, GridSpec(counts))
+    if sol.searched == 0:
+        raise ConfigError(
+            f"grid {list(counts)} has no point inside the set;"
+            " use more points per axis")
     record = {
         "grid": list(counts),
         "searched": sol.searched,

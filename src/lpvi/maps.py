@@ -89,39 +89,33 @@ Mapping = Affine | ResidualOfContraction | BlackBox
 def evaluate(mapping, x) -> np.ndarray:
     """Evaluate B(x), guaranteeing a finite vector of the right dimension."""
     x = as_vector(x, dim=mapping.dim)
-    if isinstance(mapping, Affine):
-        out = mapping.matrix @ x + mapping.offset
-    elif isinstance(mapping, ResidualOfContraction):
-        out = x - evaluate(mapping.inner, x)
-    elif isinstance(mapping, BlackBox):
-        try:
-            out = np.asarray(mapping.func(x), dtype=float)
-        except Exception as exc:
-            raise EvaluationError(f"mapping evaluator raised: {exc}") from exc
-        if out.shape != x.shape:
-            raise EvaluationError(
-                f"mapping returned shape {out.shape}, expected {x.shape}")
-    else:
-        raise InvalidInputError(f"unknown mapping type {type(mapping).__name__}")
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("mapping produced non-finite output")
-    return out
+    return evaluate_rows(mapping, x[None, :])[0]
 
 
 def evaluate_rows(mapping, xs: np.ndarray) -> np.ndarray:
-    """Evaluate B on each row. Vectorized for affine chains, a row loop
-    for black boxes."""
+    """Evaluate B on each row, guaranteeing finite output. Vectorized for
+    affine chains, a row loop for black boxes."""
     xs = np.asarray(xs, dtype=float)
     if isinstance(mapping, Affine):
         out = xs @ mapping.matrix.T + mapping.offset
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError("mapping produced non-finite output")
-        return out
-    if isinstance(mapping, ResidualOfContraction):
-        return xs - evaluate_rows(mapping.inner, xs)
-    if xs.shape[0] == 0:
-        return xs.copy()
-    return np.stack([evaluate(mapping, row) for row in xs])
+    elif isinstance(mapping, ResidualOfContraction):
+        out = xs - evaluate_rows(mapping.inner, xs)
+    elif isinstance(mapping, BlackBox):
+        out = np.empty_like(xs)
+        for i, row in enumerate(xs):
+            try:
+                value = np.asarray(mapping.func(row), dtype=float)
+            except Exception as exc:
+                raise EvaluationError(f"mapping evaluator raised: {exc}") from exc
+            if value.shape != row.shape:
+                raise EvaluationError(
+                    f"mapping returned shape {value.shape}, expected {row.shape}")
+            out[i] = value
+    else:
+        raise InvalidInputError(f"unknown mapping type {type(mapping).__name__}")
+    if not np.isfinite(out).all():
+        raise EvaluationError("mapping produced non-finite output")
+    return out
 
 
 def _sample_pairs(region, pairs: int, seed: int, bounds):

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError, UnsupportedRetractionError
-from .spaces import as_vector, check_exponent, duality_map_rows, p_norm
+from .spaces import as_vector, check_exponent, duality_map_rows, norm_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +160,27 @@ def contains(cset, x, tol: float = 0.0) -> bool:
     return bool(members_mask(cset, x[None, :], tol)[0])
 
 
+def retract_rows(cset, xs: np.ndarray, p) -> np.ndarray:
+    """retract on each row of a 2-d array, without validation: callers
+    check retraction_support(cset, p) once. Rows in C come back unchanged.
+    Row inner products use a batched matmul, which sums in np.dot's order."""
+    xs = np.asarray(xs, dtype=float)
+    if isinstance(cset, WholeSpace):
+        return xs.copy()
+    if isinstance(cset, Box):
+        return np.clip(xs, cset.lo, cset.hi)
+    if isinstance(cset, Ball):
+        # radius / max(|x|, radius) is exactly 1.0 inside the ball
+        nrm = np.sqrt((xs[:, None, :] @ xs[:, :, None])[:, 0, 0])
+        return (cset.radius / np.maximum(nrm, cset.radius))[:, None] * xs
+    # halfspace: shift along the normal by the constraint violation
+    a = cset.normal
+    excess = (xs[:, None, :] @ a)[:, 0] - cset.offset
+    over = ~(excess <= 0.0)
+    shift = np.where(over, excess, 0.0) / np.dot(a, a)
+    return np.where(over[:, None], xs - shift[:, None] * a, xs)
+
+
 def retract(cset, x, p) -> np.ndarray:
     """Sunny nonexpansive retraction of x onto the set.
 
@@ -170,21 +191,7 @@ def retract(cset, x, p) -> np.ndarray:
     if support.mode is RetractionMode.UNSUPPORTED:
         raise UnsupportedRetractionError(support.reason)
     x = as_vector(x, dim=set_dim(cset))
-    if isinstance(cset, WholeSpace):
-        return x.copy()
-    if isinstance(cset, Box):
-        return np.clip(x, cset.lo, cset.hi)
-    if isinstance(cset, Ball):
-        nrm = float(np.sqrt(np.dot(x, x)))
-        if nrm <= cset.radius:
-            return x.copy()
-        return (cset.radius / nrm) * x
-    # halfspace: shift along the normal by the constraint violation
-    a, b = cset.normal, cset.offset
-    excess = float(np.dot(a, x)) - b
-    if excess <= 0.0:
-        return x.copy()
-    return x - (excess / float(np.dot(a, a))) * a
+    return retract_rows(cset, x[None, :], p)[0]
 
 
 _SAMPLE_CHUNK = 512
@@ -248,11 +255,8 @@ def verify_sunny(cset, x, p, ts) -> float:
         raise InvalidInputError("ray parameters must be finite and >= 0")
     qx = retract(cset, x, p)
     x = as_vector(x, dim=set_dim(cset))
-    worst = 0.0
-    for t in ts:
-        again = retract(cset, qx + t * (x - qx), p)
-        worst = max(worst, p_norm(again - qx, p))
-    return worst
+    again = retract_rows(cset, qx + ts[:, None] * (x - qx), p)
+    return max(0.0, float(np.max(norm_rows(again - qx, p))))
 
 
 def _characterization_bounds(cset, x, x0):

@@ -32,9 +32,11 @@ import numpy as np
 
 from .errors import (ConfigError, DivergenceError, EvaluationError,
                      InvalidInputError, ShapeError, UnsupportedRetractionError)
-from .maps import Certificate, Feasibility, Mapping, certificate_feasibility, evaluate
-from .sets import ConvexSet, retract, retraction_support, RetractionMode, set_dim
-from .spaces import SpaceSpec, as_vector, p_norm
+from .maps import (Certificate, Feasibility, Mapping, certificate_feasibility,
+                   evaluate, evaluate_rows)
+from .sets import (ConvexSet, RetractionMode, retract, retract_rows,
+                   retraction_support, set_dim)
+from .spaces import SpaceSpec, as_vector, norm_rows, p_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +177,14 @@ def select_lambda(problem: Problem, lam: float | None = None
         " supply lambda explicitly")
 
 
+def check_stopping_rule(tol: float, max_iter: int) -> None:
+    """Refuse a stopping rule picard_solve could not run."""
+    if not tol > 0.0:
+        raise InvalidInputError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
                  max_iter: int = 10 ** 6,
                  certification: Certification = Certification.UNCERTIFIED
@@ -187,49 +197,46 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     status (not an exception) when max_iter runs out first. A non-finite
     iterate or evaluator failure raises DivergenceError carrying the
     trace so far. Trace rows are (iteration, step_norm, residual).
+
+    Arguments are validated once, up front; the loop runs the row kernels
+    on one-row arrays. The residual |x_{k+1} - G(x_{k+1})| is bitwise the
+    next step |G(x_{k+1}) - x_{k+1}|, so each iteration takes two norms.
     """
     lam = float(lam)
     if not np.isfinite(lam) or lam <= 0.0:
         raise InvalidInputError(f"step size must be positive and finite, got {lam}")
-    if not tol > 0.0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+    check_stopping_rule(tol, max_iter)
     if certification is Certification.HILBERT and problem.cert is None:
         raise InvalidInputError("hilbert certification needs a certificate")
-    p = problem.space.p
+    p, cset, mapping = problem.space.p, problem.cset, problem.mapping
     trace: list[tuple[int, float, float]] = []
 
-    def advance(pt):
+    def advance(xs):
         try:
-            # overflow here is divergence, reported below, not a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                image = pt - lam * evaluate(problem.mapping, pt)
+            image = xs - lam * evaluate_rows(mapping, xs)
         except EvaluationError as exc:
             raise DivergenceError(str(exc), trace=trace) from exc
-        if not np.all(np.isfinite(image)):
+        if not np.isfinite(image).all():
             raise DivergenceError("iterate became non-finite", trace=trace)
-        return retract(problem.cset, image, p)
+        return retract_rows(cset, image, p)
 
-    x = retract(problem.cset, as_vector(x0, problem.space.n, name="x0"), p)
-    nxt = advance(x)
-    status = SolveStatus.ITERATION_LIMIT
-    iterations = 0
-    residual = math.inf
-    for k in range(1, max_iter + 1):
-        step = p_norm(nxt - x, p)
-        after = advance(nxt)
-        residual = p_norm(nxt - after, p)
-        trace.append((k, step, residual))
-        iterations = k
-        stop = step <= tol * (1.0 + p_norm(x, p))
-        x, nxt = nxt, after
-        if stop:
-            status = SolveStatus.CONVERGED
-            break
+    # overflow in the loop is divergence, reported by advance, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = retract(cset, as_vector(x0, problem.space.n, name="x0"), p)[None, :]
+        nxt = advance(x)
+        step = float(norm_rows(nxt - x, p)[0])
+        for k in range(1, max_iter + 1):
+            after = advance(nxt)
+            residual = float(norm_rows(nxt - after, p)[0])
+            trace.append((k, step, residual))
+            stop = step <= tol * (1.0 + float(norm_rows(x, p)[0]))
+            x, nxt, step = nxt, after, residual
+            if stop:
+                break
+    status = SolveStatus.CONVERGED if stop else SolveStatus.ITERATION_LIMIT
     factor = (hilbert_factor_sq(problem.cert, lam)
               if certification is Certification.HILBERT else None)
-    return SolveReport(final_point=x, iterations=iterations,
+    return SolveReport(final_point=x[0], iterations=len(trace),
                        final_residual=residual, lam=lam,
                        certification=certification, status=status,
                        contraction_factor_sq=factor, trace=trace)

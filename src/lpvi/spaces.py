@@ -75,11 +75,19 @@ def dual_exponent(p) -> float:
 def norm_rows(xs: np.ndarray, p: float) -> np.ndarray:
     """p-norm of each row of a 2-d array. Rows are scaled by their max
     modulus before exponentiation so large entries do not overflow."""
-    xs = np.asarray(xs, dtype=float)
-    m = np.max(np.abs(xs), axis=1)
-    safe = np.where(m > 0.0, m, 1.0)
-    s = np.sum((np.abs(xs) / safe[:, None]) ** p, axis=1)
-    return np.where(m > 0.0, safe * s ** (1.0 / p), 0.0)
+    mags = np.abs(np.asarray(xs, dtype=float))
+    m = mags.max(axis=1)
+    zero = ~(m > 0.0)
+    m[zero] = 1.0
+    # in place from here on; `**=` keeps numpy's array power, whose last
+    # bits a Python-scalar power would not reproduce
+    mags /= m[:, None]
+    mags **= p
+    s = mags.sum(axis=1)
+    s **= 1.0 / p
+    s *= m
+    s[zero] = 0.0
+    return s
 
 
 def p_norm(x, p) -> float:

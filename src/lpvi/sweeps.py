@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .sets import Ball, Box, Halfspace, retract, sample_in_set, verify_characterization, verify_sunny
+from .sets import (Ball, Box, Halfspace, retract, retract_rows, sample_in_set,
+                   verify_characterization, verify_sunny)
 from .spaces import dual_exponent, duality_map_rows, norm_rows, pairing_rows
 
 
@@ -121,12 +122,14 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
     rng = np.random.default_rng(seed)
     rep = RetractionReport(0.0, 0.0, 0.0, 0.0, -np.inf, np.inf, np.inf, pairs)
 
-    def common_checks(cset, p, hilbert: bool):
+    def common_checks(cset, p):
         n = cset.dim
         xs = rng.uniform(-6.0, 6.0, size=(pairs, n))
         ys = rng.uniform(-6.0, 6.0, size=(pairs, n))
-        qx = np.stack([retract(cset, row, p) for row in xs[:64]])
-        qqx = np.stack([retract(cset, row, p) for row in qx])
+        qxs = retract_rows(cset, xs, p)
+        qys = retract_rows(cset, ys, p)
+        qx = qxs[:64]
+        qqx = retract_rows(cset, qx, p)
         rep.max_idempotence_dev = max(
             rep.max_idempotence_dev, float(np.max(np.abs(qqx - qx))))
         # centred on the point of C nearest the origin, the box always
@@ -135,7 +138,7 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
         members = sample_in_set(cset, 64, seed + 1,
                                 bounds=((centre - 6.0, centre + 6.0)
                                         if isinstance(cset, Halfspace) else None))
-        fixed = np.stack([retract(cset, row, p) for row in members])
+        fixed = retract_rows(cset, members, p)
         rep.max_identity_dev = max(
             rep.max_identity_dev, float(np.max(np.abs(fixed - members))))
         probe = xs[0]
@@ -149,19 +152,10 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
             rep.max_box_sunny_dev = max(rep.max_box_sunny_dev, dev)
         else:
             rep.max_hilbert_sunny_dev = max(rep.max_hilbert_sunny_dev, dev)
-        if isinstance(cset, Box):
-            qxs = np.clip(xs, cset.lo, cset.hi)
-            qys = np.clip(ys, cset.lo, cset.hi)
-        else:
-            # retract() is a scalar call for balls and halfspaces; cap the
-            # pair count there so the suite stays interactive
-            xs, ys = xs[:min(pairs, 2000)], ys[:min(pairs, 2000)]
-            qxs = np.stack([retract(cset, row, p) for row in xs])
-            qys = np.stack([retract(cset, row, p) for row in ys])
         excess = norm_rows(qxs - qys, p) - norm_rows(xs - ys, p)
         rep.max_nonexpansive_excess = max(rep.max_nonexpansive_excess,
                                           float(np.max(excess)))
-        if hilbert:
+        if p == 2.0:
             gap = (pairing_rows(xs - ys, qxs - qys)
                    - norm_rows(qxs - qys, 2.0) ** 2)
             rep.min_projection_inequality = min(
@@ -170,10 +164,9 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
 
     for p in p_values:
         for n in (2, 3, 7):
-            common_checks(_random_box(rng, n), p, hilbert=(p == 2.0))
+            common_checks(_random_box(rng, n), p)
     for n in (2, 5):
-        common_checks(Ball(n, float(rng.uniform(0.5, 3.0))), 2.0, hilbert=True)
+        common_checks(Ball(n, float(rng.uniform(0.5, 3.0))), 2.0)
         normal = rng.standard_normal(n)
-        common_checks(Halfspace(normal, float(rng.uniform(-1.0, 1.0))), 2.0,
-                      hilbert=True)
+        common_checks(Halfspace(normal, float(rng.uniform(-1.0, 1.0))), 2.0)
     return rep

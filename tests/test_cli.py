@@ -98,6 +98,21 @@ def test_solve_unwritable_out_fails_before_solving(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "-1", "tol must be positive, got -1.0"),
+    ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+])
+def test_solve_refused_stopping_rule_leaves_no_out_file(tmp_path, capsys,
+                                                         flag, value, message):
+    cfg = write(tmp_path, BOX_IDENTITY)
+    out_csv = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "solve", "--config", cfg, "--out",
+                         str(out_csv), flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not out_csv.exists()
+
+
 def test_solve_refuses_auto_step_from_inconsistent_certificate(tmp_path, capsys):
     bad = BOX_IDENTITY.replace("v = 1", "v = 10").replace("u = 0.1", "u = 1")
     cfg = write(tmp_path, bad)
@@ -346,6 +361,19 @@ def test_oracle_over_cap_grid_is_refused_at_once(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "MAX_SCREEN_PAIRS" in err
     assert "Traceback" not in err
+
+
+def test_oracle_grid_with_no_point_inside_the_set_is_refused(tmp_path, capsys):
+    text = BOX_IDENTITY.replace(
+        "kind = box\n    lo = 1 1\n    hi = 2 2", "kind = ball\n    radius = 1")
+    cfg = write(tmp_path, text)
+    # a 2 x 2 grid over [-1, 1]^2 holds only the corners, all outside
+    code, out, err = run(capsys, "oracle", "--config", cfg, "--grid", "2,2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: grid [2, 2] has no point inside the set")
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "oracle", "--config", cfg, "--grid", "3,3")
+    assert code == 0 and json.loads(out)["searched"] == 5
 
 
 def test_module_entry_point_runs_in_a_subprocess():

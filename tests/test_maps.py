@@ -38,6 +38,18 @@ def test_evaluate_rows_matches_scalar_path():
         assert np.array_equal(evaluate(b, x), bx)
 
 
+def test_evaluate_rows_rejects_nonfinite_residual_of_contraction():
+    # x - T(x) = 2x overflows although x and T(x) = -x are finite
+    b = ResidualOfContraction(Affine(-np.eye(2)), 0.5)
+    xs = np.array([[1.0, 2.0], [1e308, 0.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(EvaluationError, match="non-finite output"):
+            evaluate(b, xs[1])
+        with pytest.raises(EvaluationError, match="non-finite output"):
+            evaluate_rows(b, xs)
+    assert np.array_equal(evaluate_rows(b, xs[:1]), [[2.0, 4.0]])
+
+
 def test_blackbox_exception_wrapped():
     def boom(x):
         raise ValueError("inner failure")

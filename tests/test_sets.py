@@ -5,6 +5,7 @@ from lpvi import (Ball, Box, Halfspace, InvalidInputError, RetractionMode,
                   ShapeError, UnsupportedRetractionError, WholeSpace,
                   contains, retract, retraction_support, sample_in_set,
                   verify_characterization, verify_sunny)
+from lpvi.sets import members_mask, retract_rows
 from lpvi.spaces import norm_rows
 
 
@@ -55,6 +56,74 @@ def test_retract_ball_radial():
 def test_retract_halfspace_offset():
     out = retract(Halfspace([0.0, 1.0], 0.0), [1.0, 3.0], 2)
     np.testing.assert_allclose(out, [1.0, 0.0], rtol=0, atol=0)
+
+
+def reference_retract(cset, x):
+    # the scalar formulas retract used before it wrapped retract_rows
+    if isinstance(cset, WholeSpace):
+        return x.copy()
+    if isinstance(cset, Box):
+        return np.clip(x, cset.lo, cset.hi)
+    if isinstance(cset, Ball):
+        nrm = float(np.sqrt(np.dot(x, x)))
+        return x.copy() if nrm <= cset.radius else (cset.radius / nrm) * x
+    a, b = cset.normal, cset.offset
+    excess = float(np.dot(a, x)) - b
+    if excess <= 0.0:
+        return x.copy()
+    return x - (excess / float(np.dot(a, a))) * a
+
+
+def _retraction_cases(n, rng):
+    lo = rng.uniform(-2.0, 0.0, size=n)
+    box = Box(lo, lo + rng.uniform(0.5, 2.0, size=n))
+    normal = rng.standard_normal(n)
+    normal[0] = -1.0
+    hs = Halfspace(normal, float(rng.uniform(-1.0, 1.0)))
+    ball = Ball(n, float(rng.uniform(0.5, 2.0)))
+    xs = rng.uniform(-4.0, 4.0, size=(400, n))
+    xs *= 10.0 ** rng.uniform(-3.0, 3.0, size=(400, 1))
+    # points on the boundary of each set
+    on_box = np.clip(xs[:20], box.lo, box.hi)
+    on_box[:, 0] = box.hi[0]
+    on_ball = ball.radius * xs[:20] / np.sqrt(np.sum(xs[:20] ** 2, axis=1))[:, None]
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    on_hs = -hs.offset * e0[None, :]     # <normal, x> == offset exactly
+    inside = np.vstack([np.clip(xs[20:40], box.lo, box.hi),
+                        np.zeros((1, n)), -np.zeros((1, n))])
+    pts = np.vstack([xs, on_box, on_ball, on_hs, inside])
+    return (WholeSpace(n), box, ball, hs), pts
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 100])
+def test_retract_rows_matches_the_scalar_formulas_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    csets, pts = _retraction_cases(n, rng)
+    for cset in csets:
+        got = retract_rows(cset, pts, 2.0)
+        for x, row in zip(pts, got):
+            ref = reference_retract(cset, x)
+            assert row.tobytes() == ref.tobytes()
+            assert retract(cset, x, 2.0).tobytes() == ref.tobytes()
+    box = csets[1]
+    inside = pts[members_mask(box, pts)]
+    assert inside.shape[0] >= 40
+    assert retract_rows(box, inside, 2.0).tobytes() == inside.tobytes()
+
+
+def test_retract_rows_keeps_points_of_the_set_exactly():
+    # signed zeros survive too: a shift by zero would turn -0.0 into 0.0
+    hs = Halfspace([-1.0, 2.0], 1.0)
+    pts = np.array([[-0.0, -0.0], [3.0, 2.0], [-1.0, 0.0], [-5.0, 0.0]])
+    got = retract_rows(hs, pts, 2.0)
+    assert got[:3].tobytes() == pts[:3].tobytes()
+    assert np.dot(hs.normal, got[3]) == pytest.approx(1.0, rel=1e-15)
+    ball = Ball(2, 1.0)
+    pts = np.array([[-0.0, 0.0], [0.6, -0.8], [1.0, 0.0], [3.0, 4.0]])
+    got = retract_rows(ball, pts, 2.0)
+    assert got[:3].tobytes() == pts[:3].tobytes()
+    assert got[3].tobytes() == ((1.0 / 5.0) * pts[3]).tobytes()
 
 
 def test_retract_wrong_dimension():

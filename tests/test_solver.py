@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lpvi import (Affine, Ball, BlackBox, Box, Certificate, Certification,
-                  ConfigError, DivergenceError, InvalidInputError, Problem,
-                  ResidualOfContraction, ShapeError, SolveStatus, SpaceSpec,
-                  UnsupportedRetractionError, WholeSpace, contains,
+                  ConfigError, DivergenceError, EvaluationError, Halfspace,
+                  InvalidInputError, Problem, ResidualOfContraction,
+                  ShapeError, SolveStatus, SpaceSpec,
+                  UnsupportedRetractionError, WholeSpace, contains, evaluate,
                   contraction_factor_sq, hilbert_factor_sq,
                   hilbert_step_interval, picard_solve, select_lambda, solve,
                   strict_step_intervals, vi_residual)
@@ -233,3 +234,156 @@ def test_hilbert_trace_ratio_stays_under_certified_rate():
     assert ratios, "trace too short to measure a rate"
     for r in ratios[-5:]:
         assert r <= q + 0.05
+
+
+def reference_norm(x, p):
+    # norm_rows as it was before it worked in place, on one vector
+    xs = x[None, :]
+    m = np.max(np.abs(xs), axis=1)
+    safe = np.where(m > 0.0, m, 1.0)
+    s = np.sum((np.abs(xs) / safe[:, None]) ** p, axis=1)
+    return float(np.where(m > 0.0, safe * s ** (1.0 / p), 0.0)[0])
+
+
+def reference_retract(cset, x):
+    # the scalar retraction formulas, inner products through np.dot
+    if isinstance(cset, WholeSpace):
+        return x.copy()
+    if isinstance(cset, Box):
+        return np.clip(x, cset.lo, cset.hi)
+    if isinstance(cset, Ball):
+        nrm = float(np.sqrt(np.dot(x, x)))
+        return x.copy() if nrm <= cset.radius else (cset.radius / nrm) * x
+    a, b = cset.normal, cset.offset
+    excess = float(np.dot(a, x)) - b
+    if excess <= 0.0:
+        return x.copy()
+    return x - (excess / float(np.dot(a, a))) * a
+
+
+def reference_picard_solve(problem, lam, x0, tol=1e-10, max_iter=10 ** 6):
+    """The Picard loop before the row kernels: scalar retraction and
+    evaluation on vectors and three norms per iteration. Returns
+    (final_point, iterations, final_residual, status, trace)."""
+    p = problem.space.p
+    trace = []
+
+    def advance(pt):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                image = pt - lam * evaluate(problem.mapping, pt)
+        except EvaluationError as exc:
+            raise DivergenceError(str(exc), trace=trace) from exc
+        if not np.all(np.isfinite(image)):
+            raise DivergenceError("iterate became non-finite", trace=trace)
+        return reference_retract(problem.cset, image)
+
+    x = reference_retract(problem.cset, np.asarray(x0, dtype=float))
+    nxt = advance(x)
+    status = SolveStatus.ITERATION_LIMIT
+    iterations = 0
+    residual = math.inf
+    for k in range(1, max_iter + 1):
+        step = reference_norm(nxt - x, p)
+        after = advance(nxt)
+        residual = reference_norm(nxt - after, p)
+        trace.append((k, step, residual))
+        iterations = k
+        stop = step <= tol * (1.0 + reference_norm(x, p))
+        x, nxt = nxt, after
+        if stop:
+            status = SolveStatus.CONVERGED
+            break
+    return x, iterations, residual, status, trace
+
+
+def _affine(rng, n, spread=0.4):
+    return Affine(np.eye(n) + spread * rng.standard_normal((n, n)) / math.sqrt(n),
+                  4.0 * rng.standard_normal(n))
+
+
+def _random_box(rng, n):
+    lo = rng.uniform(-1.0, 0.0, size=n)
+    return Box(lo, lo + rng.uniform(1.0, 3.0, size=n))
+
+
+def _box_cutting(rng, b):
+    # holds the free solution of Bx = 0 in every coordinate but the first
+    free = np.linalg.solve(b.matrix, -b.offset)
+    lo = free - rng.uniform(1.0, 3.0, size=free.size)
+    hi = free + rng.uniform(1.0, 3.0, size=free.size)
+    hi[0] = free[0] - 0.5
+    return Box(lo, hi)
+
+
+def _bit_identity_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for p in (1.5, 3.0):
+        for n in (2, 100):
+            b = _affine(rng, n)
+            cases.append(pytest.param(
+                Problem(SpaceSpec(n, p), _box_cutting(rng, b), b),
+                0.3, 3.0 * rng.standard_normal(n), 2000, id=f"box-p{p}-n{n}"))
+    cases.append(pytest.param(
+        Problem(SpaceSpec(3, 2.0), Ball(3, 0.5), _affine(rng, 3)),
+        0.4, [2.0, -1.0, 0.5], 2000, id="ball"))
+    b = _affine(rng, 4)
+    free = np.linalg.solve(b.matrix, -b.offset)   # cut off the free solution
+    cases.append(pytest.param(
+        Problem(SpaceSpec(4, 2.0), Halfspace(free, 0.5 * float(free @ free)), b),
+        0.4, rng.standard_normal(4), 2000, id="halfspace"))
+    inner = Affine(0.3 * np.linalg.qr(rng.standard_normal((5, 5)))[0],
+                   rng.standard_normal(5))
+    cases.append(pytest.param(
+        Problem(SpaceSpec(5, 3.0), _random_box(rng, 5),
+                ResidualOfContraction(inner, 0.3)),
+        0.7, rng.standard_normal(5), 2000, id="residual-map"))
+    shift = rng.standard_normal(3)
+    cases.append(pytest.param(
+        Problem(SpaceSpec(3, 2.5), _random_box(rng, 3),
+                BlackBox(lambda x: x + 0.3 * np.tanh(x) - shift, 3)),
+        0.5, [1.0, -2.0, 0.25], 2000, id="black-box"))
+    cases.append(pytest.param(
+        Problem(SpaceSpec(3, 2.0), WholeSpace(3), _affine(rng, 3, 0.2)),
+        0.5, rng.standard_normal(3), 2000, id="whole-space"))
+    cases.append(pytest.param(
+        Problem(SpaceSpec(2, 2.0), Box([0.0, 0.0], [1.0, 1.0]),
+                Affine(np.eye(2), [-0.5, -0.5])),
+        0.01, [1.0, 1.0], 40, id="iteration-limit"))
+    return cases
+
+
+@pytest.mark.parametrize("problem, lam, x0, max_iter", _bit_identity_cases())
+def test_picard_matches_the_reference_loop_bit_for_bit(problem, lam, x0, max_iter):
+    rep = picard_solve(problem, lam, x0, tol=1e-13, max_iter=max_iter)
+    point, iterations, residual, status, trace = reference_picard_solve(
+        problem, lam, x0, tol=1e-13, max_iter=max_iter)
+    assert len(trace) >= 5
+    assert rep.trace == trace
+    assert rep.final_point.tobytes() == point.tobytes()
+    assert (rep.iterations, rep.final_residual, rep.status) == \
+        (iterations, residual, status)
+    if not isinstance(problem.cset, WholeSpace) and status is SolveStatus.CONVERGED:
+        # the constraint is active at the answer: the retraction moves points
+        assert not contains(problem.cset, point - lam * evaluate(problem.mapping, point))
+
+
+@pytest.mark.parametrize("mapping, lam, message", [
+    # Bx = -4x overflows one doubling before the iterate 2x does
+    (Affine(-4.0 * np.eye(2)), 0.25, "mapping produced non-finite output"),
+    # Bx = 4x is x - T(x) for T(x) = -3x: only the difference overflows
+    (ResidualOfContraction(Affine(-3.0 * np.eye(2)), 0.5), 0.75,
+     "mapping produced non-finite output"),
+    # Bx = -x stays finite while the iterate 3x overflows
+    (Affine(-np.eye(2)), 2.0, "iterate became non-finite"),
+])
+def test_picard_divergence_messages_and_partial_trace(mapping, lam, message):
+    prob = Problem(SpaceSpec(2, 2.0), WholeSpace(2), mapping)
+    with pytest.raises(DivergenceError) as info:
+        picard_solve(prob, lam=lam, x0=[1.0, -1.0], max_iter=5000)
+    with pytest.raises(DivergenceError) as ref:
+        reference_picard_solve(prob, lam, [1.0, -1.0], max_iter=5000)
+    assert str(info.value) == str(ref.value) == message
+    assert len(info.value.trace) > 500
+    assert info.value.trace == ref.value.trace

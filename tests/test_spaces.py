@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lpvi import (InvalidInputError, ShapeError, SpaceSpec,
                   UnsupportedSpaceError, dual_exponent, duality_map, p_norm,
                   pairing)
+from lpvi.spaces import norm_rows
 
 # frozen reference values (high-precision arithmetic, rounded to double)
 ROOT4_2 = 1.189207115002721    # 2**(1/4)
@@ -30,6 +31,32 @@ def test_p_norm_p4():
 def test_p_norm_huge_entries_do_not_overflow():
     # naive sum of |x|^p would overflow; the row-scaled form must not
     assert p_norm([1e300, 1e300], 4) == pytest.approx(1e300 * ROOT4_2, rel=1e-12)
+
+
+def reference_norm_rows(xs, p):
+    # the formula norm_rows computed before it worked in place
+    m = np.max(np.abs(xs), axis=1)
+    safe = np.where(m > 0.0, m, 1.0)
+    s = np.sum((np.abs(xs) / safe[:, None]) ** p, axis=1)
+    return np.where(m > 0.0, safe * s ** (1.0 / p), 0.0)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 20.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+def test_norm_rows_matches_the_reference_formula_bit_for_bit(p, n):
+    rng = np.random.default_rng(int(p * 100) + n)
+    xs = rng.standard_normal((64, n))
+    xs *= 10.0 ** rng.uniform(-5.0, 5.0, size=(64, 1))
+    xs[0] = 0.0                           # zero row
+    xs[1] *= 1e300 / np.max(np.abs(xs[1]))
+    xs[2] *= 1e-300 / np.max(np.abs(xs[2]))
+    xs[3] = 1e300                         # constant huge row
+    xs[4] = -1e-300                       # constant tiny row
+    xs[5, 0] = 0.0
+    got = norm_rows(xs, p)
+    assert got.tobytes() == reference_norm_rows(xs, p).tobytes()
+    assert got[0] == 0.0
+    assert float(got[3]) == p_norm(xs[3], p)
 
 
 def test_dual_exponent_values():
