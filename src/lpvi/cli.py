@@ -49,18 +49,31 @@ def _err(message):
     print(f"error: {message}", file=sys.stderr)
 
 
+def _checked_seed(seed: int, source: str) -> int:
+    # numpy's seed sequences refuse negative integers
+    if seed < 0:
+        raise ConfigError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _default_seed() -> int:
     raw = os.environ.get(_ENV_SEED)
     if raw is None:
         return 0
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ConfigError(f"{_ENV_SEED} must be an integer, got {raw!r}")
+    return _checked_seed(seed, _ENV_SEED)
 
 
-def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
+def _seed_of(args, configured: int | None = None) -> int:
+    """--seed, then the config's [check] seed, then LPVI_SEED, then 0."""
+    if args.seed is not None:
+        return _checked_seed(args.seed, "--seed")
+    if configured is not None:
+        return _checked_seed(configured, "[check] seed")
+    return _default_seed()
 
 
 def _emit(record: dict):
@@ -121,8 +134,7 @@ def cmd_solve(args) -> int:
 def cmd_check_map(args) -> int:
     cfg = load_config(args.config)
     problem = cfg.problem
-    seed = args.seed if args.seed is not None else (
-        cfg.check.seed if cfg.check.seed is not None else _default_seed())
+    seed = _seed_of(args, cfg.check.seed)
     pairs = args.count if args.count is not None else cfg.check.pairs
     if cfg.check.bounds is None and not isinstance(problem.cset, (Box, Ball)):
         raise EstimationError(
@@ -250,12 +262,20 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _grid_count(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ConfigError(f"--grid: {tok!r} is not a whole number of points")
+
+
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     problem = cfg.problem
     n = problem.space.n
     if args.grid:
-        counts = tuple(int(tok) for tok in args.grid.replace(",", " ").split())
+        counts = tuple(_grid_count(tok)
+                       for tok in args.grid.replace(",", " ").split())
     elif cfg.grid is not None:
         counts = cfg.grid
     else:

@@ -145,7 +145,7 @@ def members_mask(cset, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
     if isinstance(cset, Box):
         return np.all(xs >= cset.lo - tol, axis=1) & np.all(xs <= cset.hi + tol, axis=1)
     if isinstance(cset, Ball):
-        return np.sqrt(np.sum(xs * xs, axis=1)) <= cset.radius + tol
+        return np.sqrt(_sq_norms(xs)) <= cset.radius + tol
     if isinstance(cset, Halfspace):
         return xs @ cset.normal <= cset.offset + tol
     raise InvalidInputError(f"unknown set type {type(cset).__name__}")
@@ -160,6 +160,12 @@ def contains(cset, x, tol: float = 0.0) -> bool:
     return bool(members_mask(cset, x[None, :], tol)[0])
 
 
+def _sq_norms(xs: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row, summed in np.dot's order (a
+    batched matmul), so membership and retraction agree on the sphere."""
+    return (xs[:, None, :] @ xs[:, :, None])[:, 0, 0]
+
+
 def retract_rows(cset, xs: np.ndarray, p) -> np.ndarray:
     """retract on each row of a 2-d array, without validation: callers
     check retraction_support(cset, p) once. Rows in C come back unchanged.
@@ -171,7 +177,7 @@ def retract_rows(cset, xs: np.ndarray, p) -> np.ndarray:
         return np.clip(xs, cset.lo, cset.hi)
     if isinstance(cset, Ball):
         # radius / max(|x|, radius) is exactly 1.0 inside the ball
-        nrm = np.sqrt((xs[:, None, :] @ xs[:, :, None])[:, 0, 0])
+        nrm = np.sqrt(_sq_norms(xs))
         return (cset.radius / np.maximum(nrm, cset.radius))[:, None] * xs
     # halfspace: shift along the normal by the constraint violation
     a = cset.normal

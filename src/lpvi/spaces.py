@@ -72,18 +72,49 @@ def dual_exponent(p) -> float:
     return p / (p - 1.0)
 
 
+# numpy reduces a narrow row one row at a time, so below this width a
+# reduction over axis 1 runs as a loop over columns instead (for arrays
+# with more rows than columns: a single row stays one reduce call). The
+# sum fold has the same bits as np.add.reduce only below 8 columns, where
+# numpy does not yet switch to pairwise summation.
+_FOLD_COLS = 8
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """np.maximum.reduce(a, axis=1), folded over columns when rows are narrow."""
+    rows, cols = a.shape
+    if 0 < cols < _FOLD_COLS and rows > cols:
+        m = a[:, 0].copy()
+        for j in range(1, cols):
+            np.maximum(m, a[:, j], out=m)
+        return m
+    return np.maximum.reduce(a, axis=1)
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, axis=1), folded over columns when rows are narrow."""
+    rows, cols = a.shape
+    if 0 < cols < _FOLD_COLS and rows > cols:
+        # add.reduce starts from +0.0, which turns an all -0.0 row into +0.0
+        s = a[:, 0] + 0.0
+        for j in range(1, cols):
+            s += a[:, j]
+        return s
+    return np.add.reduce(a, axis=1)
+
+
 def norm_rows(xs: np.ndarray, p: float) -> np.ndarray:
     """p-norm of each row of a 2-d array. Rows are scaled by their max
     modulus before exponentiation so large entries do not overflow."""
     mags = np.abs(np.asarray(xs, dtype=float))
-    m = mags.max(axis=1)
+    m = _row_max(mags)
     zero = ~(m > 0.0)
     m[zero] = 1.0
     # in place from here on; `**=` keeps numpy's array power, whose last
     # bits a Python-scalar power would not reproduce
     mags /= m[:, None]
     mags **= p
-    s = mags.sum(axis=1)
+    s = _row_sum(mags)
     s **= 1.0 / p
     s *= m
     s[zero] = 0.0
@@ -106,7 +137,7 @@ def pairing(f, x) -> float:
 
 def pairing_rows(fs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Row-wise pairing of two equally shaped 2-d arrays."""
-    return np.sum(np.asarray(fs, float) * np.asarray(xs, float), axis=1)
+    return _row_sum(np.asarray(fs, float) * np.asarray(xs, float))
 
 
 def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:
@@ -115,7 +146,7 @@ def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:
     # J is homogeneous of degree 1, so each row is rescaled by an exact
     # power of two first; |x_i|^(p-1) and |x|^(2-p) can over/underflow
     # separately at extreme magnitudes even though J(x) is representable
-    m = np.max(np.abs(xs), axis=1)
+    m = _row_max(np.abs(xs))
     _, e = np.frexp(m)
     e = np.where(m > 0.0, e, 0)
     scaled = np.ldexp(xs, -e[:, None])

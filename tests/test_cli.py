@@ -289,6 +289,18 @@ def test_invalid_env_seed(tmp_path, capsys, monkeypatch):
     assert code == 2 and "LPVI_SEED" in err
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "pairing", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be a nonnegative integer, got -1\n"
+    cfg = write(tmp_path, BOX_IDENTITY + "\n[check]\nseed = -3\n")
+    code, _, err = run(capsys, "check-map", "--config", cfg)
+    assert code == 2 and "[check] seed" in err
+    monkeypatch.setenv("LPVI_SEED", "-2")
+    code, _, err = run(capsys, "verify", "duality")
+    assert code == 2 and "LPVI_SEED" in err
+
+
 def test_verify_factor(capsys):
     code, out, err = run(capsys, "verify", "factor")
     assert code == 0 and err == ""
@@ -374,6 +386,15 @@ def test_oracle_grid_with_no_point_inside_the_set_is_refused(tmp_path, capsys):
     assert "Traceback" not in err
     code, out, _ = run(capsys, "oracle", "--config", cfg, "--grid", "3,3")
     assert code == 0 and json.loads(out)["searched"] == 5
+
+
+@pytest.mark.parametrize("grid, bad", [("3,x", "'x'"), ("3.5,3", "'3.5'")])
+def test_oracle_grid_flag_with_a_bad_count_is_a_config_error(tmp_path, capsys,
+                                                             grid, bad):
+    cfg = write(tmp_path, BOX_IDENTITY)
+    code, out, err = run(capsys, "oracle", "--config", cfg, "--grid", grid)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --grid: {bad} is not a whole number")
 
 
 def test_module_entry_point_runs_in_a_subprocess():

@@ -149,6 +149,34 @@ def test_screened_oracle_matches_when_every_candidate_survives(p):
     assert np.array_equal(sol.worst_pairings, worsts)
 
 
+SURVIVOR_GRIDS = {1: (40,), 2: (7, 7), 3: (5, 5, 5)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("block", [None, 1, 3])
+def test_blocked_full_scans_match_the_reference(monkeypatch, n, block):
+    # every candidate survives, so the scans see all of them; 40, 49 and
+    # 125 candidates are not multiples of 3 (nor 125 of the default 43),
+    # so the last block is a short one
+    counts = SURVIVOR_GRIDS[n]
+    m = int(np.prod(counts))
+    if block is not None:
+        monkeypatch.setattr(oracle, "_SCAN_BLOCK_ELEMS", block * m * n)
+    rows = []
+    monkeypatch.setattr(oracle, "duality_map_rows",
+                        lambda xs, p: rows.append(len(xs)) or duality_map_rows(xs, p))
+    prob = random_instance(np.random.default_rng(n), n, 3.0, scale=1e-9)
+    sol = grid_vi_solve(prob, GridSpec(counts))
+    accepted, worsts = reference_grid_vi_solve(prob, counts)
+    assert sol.accepted.shape[0] == sol.searched == m
+    assert np.array_equal(sol.accepted, accepted)
+    assert np.array_equal(sol.worst_pairings, worsts)
+    # one screen block of m rows, then blocks of `per` candidates x m rivals
+    per = min(m, oracle._SCAN_BLOCK_ELEMS // (m * n))
+    whole, rest = divmod(m, per)
+    assert rows == [m] + [per * m] * whole + ([rest * m] if rest else [])
+
+
 def test_grid_with_no_point_inside_the_set():
     prob = Problem(SpaceSpec(2, 2.0), Ball(2, 1.0), Affine(np.eye(2)))
     sol = grid_vi_solve(prob, GridSpec((2, 2)))  # only the box corners

@@ -112,6 +112,22 @@ def test_retract_rows_matches_the_scalar_formulas_bit_for_bit(n):
     assert retract_rows(box, inside, 2.0).tobytes() == inside.tobytes()
 
 
+@pytest.mark.parametrize("n, radius", [(2, 1.0), (3, 0.7), (5, 1.3), (10, 2.5)])
+def test_ball_membership_and_retraction_agree_on_the_sphere(n, radius):
+    # points scaled onto the sphere land an ulp either side of it; the ones
+    # contains() calls inside must be the ones retract() leaves alone
+    rng = np.random.default_rng(n)
+    xs = rng.standard_normal((2000, n))
+    xs *= radius / np.linalg.norm(xs, axis=1)[:, None]
+    ball = Ball(n, radius)
+    inside = 0
+    for x in xs:
+        if contains(ball, x):
+            inside += 1
+            assert retract(ball, x, 2).tobytes() == x.tobytes()
+    assert 0 < inside < len(xs)
+
+
 def test_retract_rows_keeps_points_of_the_set_exactly():
     # signed zeros survive too: a shift by zero would turn -0.0 into 0.0
     hs = Halfspace([-1.0, 2.0], 1.0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lpvi import (InvalidInputError, ShapeError, SpaceSpec,
                   UnsupportedSpaceError, dual_exponent, duality_map, p_norm,
                   pairing)
-from lpvi.spaces import norm_rows
+from lpvi.spaces import duality_map_rows, norm_rows, pairing_rows
 
 # frozen reference values (high-precision arithmetic, rounded to double)
 ROOT4_2 = 1.189207115002721    # 2**(1/4)
@@ -57,6 +57,77 @@ def test_norm_rows_matches_the_reference_formula_bit_for_bit(p, n):
     assert got.tobytes() == reference_norm_rows(xs, p).tobytes()
     assert got[0] == 0.0
     assert float(got[3]) == p_norm(xs[3], p)
+
+
+def axis_norm_rows(xs, p):
+    # norm_rows as it was while every row reduction ran over axis 1
+    mags = np.abs(np.asarray(xs, dtype=float))
+    m = mags.max(axis=1)
+    zero = ~(m > 0.0)
+    m[zero] = 1.0
+    mags /= m[:, None]
+    mags **= p
+    s = mags.sum(axis=1)
+    s **= 1.0 / p
+    s *= m
+    s[zero] = 0.0
+    return s
+
+
+def axis_duality_map_rows(xs, p):
+    xs = np.asarray(xs, dtype=float)
+    m = np.max(np.abs(xs), axis=1)
+    _, e = np.frexp(m)
+    e = np.where(m > 0.0, e, 0)
+    scaled = np.ldexp(xs, -e[:, None])
+    norms = axis_norm_rows(scaled, p)
+    nonzero = norms > 0.0
+    factor = np.ones_like(norms)
+    factor[nonzero] = norms[nonzero] ** (2.0 - p)
+    out = factor[:, None] * np.abs(scaled) ** (p - 1.0) * np.sign(scaled)
+    out[~nonzero] = 0.0
+    return np.ldexp(out, e[:, None])
+
+
+def axis_pairing_rows(fs, xs):
+    return np.sum(np.asarray(fs, float) * np.asarray(xs, float), axis=1)
+
+
+def awkward_rows(rng, rows, n):
+    """Rows over many magnitudes, with the edge cases of every reduction:
+    zero rows, signed zeros, entries near 1e+-300 and subnormals."""
+    xs = rng.standard_normal((rows, n))
+    xs *= 10.0 ** rng.uniform(-8.0, 8.0, size=(rows, 1))
+    special = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -4e-320]
+    mask = rng.random((rows, n)) < 0.25
+    xs[mask] = rng.choice(special, size=int(mask.sum()))
+    edge = [np.zeros(n), np.full(n, -0.0), np.full(n, 1e300),
+            np.full(n, -5e-324), np.full(n, 1e-300)]
+    for i, row in enumerate(edge[:rows]):
+        xs[i] = row
+    return xs
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 20.0])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_kernels_match_axis_reductions_bit_for_bit(p, n):
+    # widths 1-9 straddle the width where narrow rows stop being folded
+    rng = np.random.default_rng([n, int(p * 100)])
+    for rows in (1, 3, 1200):
+        xs = awkward_rows(rng, rows, n)
+        ys = awkward_rows(rng, rows, n)
+        for a in (xs, np.asfortranarray(xs)):
+            assert same_bits(norm_rows(a, p), axis_norm_rows(a, p))
+            assert same_bits(duality_map_rows(a, p),
+                             axis_duality_map_rows(a, p))
+            with np.errstate(over="ignore", invalid="ignore"):  # 1e300^2
+                assert same_bits(pairing_rows(a, ys),
+                                 axis_pairing_rows(a, ys))
 
 
 def test_dual_exponent_values():
