@@ -98,14 +98,15 @@ def _fail(section: str, key: str, detail: str):
 
 def _floats(text: str, section: str, key: str, expected: int | None = None):
     try:
-        vals = [float(tok) for tok in text.split()]
+        # numpy casts each token through Python's float: same syntax, same bits
+        vals = np.array(text.split(), dtype=float)
     except ValueError:
         _fail(section, key, f"could not parse numbers from {text!r}")
-    if not vals:
+    if not vals.size:
         _fail(section, key, "value is empty")
-    if expected is not None and len(vals) != expected:
-        _fail(section, key, f"expected {expected} numbers, got {len(vals)}")
-    return np.array(vals)
+    if expected is not None and vals.size != expected:
+        _fail(section, key, f"expected {expected} numbers, got {vals.size}")
+    return vals
 
 
 def _float(text: str, section: str, key: str) -> float:

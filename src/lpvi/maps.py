@@ -93,14 +93,24 @@ def evaluate(mapping, x) -> np.ndarray:
 
 
 def evaluate_rows(mapping, xs: np.ndarray) -> np.ndarray:
-    """Evaluate B on each row, guaranteeing finite output. Vectorized for
-    affine chains, a row loop for black boxes."""
-    xs = np.asarray(xs, dtype=float)
+    """Evaluate B on each row, guaranteeing finite output."""
+    out = evaluate_rows_unchecked(mapping, np.asarray(xs, dtype=float))
+    if not np.isfinite(out).all():
+        raise EvaluationError("mapping produced non-finite output")
+    return out
+
+
+def evaluate_rows_unchecked(mapping, xs: np.ndarray) -> np.ndarray:
+    """B on each row of a float array, which may come out non-finite.
+    Vectorized for affine chains, a row loop for black boxes; a black box
+    that raises or returns the wrong shape is an EvaluationError."""
     if isinstance(mapping, Affine):
-        out = xs @ mapping.matrix.T + mapping.offset
-    elif isinstance(mapping, ResidualOfContraction):
-        out = xs - evaluate_rows(mapping.inner, xs)
-    elif isinstance(mapping, BlackBox):
+        return xs @ mapping.matrix.T + mapping.offset
+    if isinstance(mapping, ResidualOfContraction):
+        # xs minus a non-finite value is non-finite, so a check of this
+        # result covers the inner map too
+        return xs - evaluate_rows_unchecked(mapping.inner, xs)
+    if isinstance(mapping, BlackBox):
         out = np.empty_like(xs)
         for i, row in enumerate(xs):
             try:
@@ -111,11 +121,8 @@ def evaluate_rows(mapping, xs: np.ndarray) -> np.ndarray:
                 raise EvaluationError(
                     f"mapping returned shape {value.shape}, expected {row.shape}")
             out[i] = value
-    else:
-        raise InvalidInputError(f"unknown mapping type {type(mapping).__name__}")
-    if not np.isfinite(out).all():
-        raise EvaluationError("mapping produced non-finite output")
-    return out
+        return out
+    raise InvalidInputError(f"unknown mapping type {type(mapping).__name__}")
 
 
 def _sample_pairs(region, pairs: int, seed: int, bounds):

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (ConfigError, DivergenceError, EvaluationError,
                      InvalidInputError, ShapeError, UnsupportedRetractionError)
 from .maps import (Certificate, Feasibility, Mapping, certificate_feasibility,
-                   evaluate, evaluate_rows)
+                   evaluate, evaluate_rows_unchecked)
 from .sets import (ConvexSet, RetractionMode, retract, retract_rows,
                    retraction_support, set_dim)
 from .spaces import SpaceSpec, as_vector, norm_rows, p_norm
@@ -199,8 +199,13 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     trace so far. Trace rows are (iteration, step_norm, residual).
 
     Arguments are validated once, up front; the loop runs the row kernels
-    on one-row arrays. The residual |x_{k+1} - G(x_{k+1})| is bitwise the
-    next step |G(x_{k+1}) - x_{k+1}|, so each iteration takes two norms.
+    on one-row arrays. Each iteration makes one norm_rows call, on a
+    two-row buffer: |x_{k+1} - G(x_{k+1})|, the residual and bitwise the
+    next step, and |x_{k+1}|, the next stop test's size. norm_rows reduces
+    rows apart (one reduce call for n >= 2, an exact column fold of the
+    moduli at n = 1), so both keep the bits of one-row calls. It makes one
+    finiteness check, on x - lam * Bx, which a non-finite Bx always makes
+    non-finite; Bx is looked at only to name the failure.
     """
     lam = float(lam)
     if not np.isfinite(lam) or lam <= 0.0:
@@ -210,27 +215,37 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
         raise InvalidInputError("hilbert certification needs a certificate")
     p, cset, mapping = problem.space.p, problem.cset, problem.mapping
     trace: list[tuple[int, float, float]] = []
+    pair = np.empty((2, problem.space.n))
 
     def advance(xs):
         try:
-            image = xs - lam * evaluate_rows(mapping, xs)
+            bx = evaluate_rows_unchecked(mapping, xs)
         except EvaluationError as exc:
             raise DivergenceError(str(exc), trace=trace) from exc
+        image = xs - lam * bx
         if not np.isfinite(image).all():
-            raise DivergenceError("iterate became non-finite", trace=trace)
+            raise DivergenceError(
+                "iterate became non-finite" if np.isfinite(bx).all()
+                else "mapping produced non-finite output", trace=trace)
         return retract_rows(cset, image, p)
+
+    def norms(a, b):
+        """|a - b| and |a| of two one-row arrays, in one norm_rows call."""
+        np.subtract(a[0], b[0], out=pair[0])
+        pair[1] = a[0]
+        return norm_rows(pair, p).tolist()
 
     # overflow in the loop is divergence, reported by advance, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         x = retract(cset, as_vector(x0, problem.space.n, name="x0"), p)[None, :]
         nxt = advance(x)
-        step = float(norm_rows(nxt - x, p)[0])
+        step, size = norms(x, nxt)
         for k in range(1, max_iter + 1):
             after = advance(nxt)
-            residual = float(norm_rows(nxt - after, p)[0])
+            residual, next_size = norms(nxt, after)
             trace.append((k, step, residual))
-            stop = step <= tol * (1.0 + float(norm_rows(x, p)[0]))
-            x, nxt, step = nxt, after, residual
+            stop = step <= tol * (1.0 + size)
+            x, nxt, step, size = nxt, after, residual, next_size
             if stop:
                 break
     status = SolveStatus.CONVERGED if stop else SolveStatus.ITERATION_LIMIT

@@ -154,8 +154,23 @@ def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:
     nonzero = norms > 0.0
     factor = np.ones_like(norms)
     # 0 ** (2 - p) is inf for p > 2; zero rows are fixed to J(0) = 0 below
-    factor[nonzero] = norms[nonzero] ** (2.0 - p)
-    out = factor[:, None] * np.abs(scaled) ** (p - 1.0) * np.sign(scaled)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor[nonzero] = norms[nonzero] ** (2.0 - p)
+        out = factor[:, None] * np.abs(scaled) ** (p - 1.0) * np.sign(scaled)
+    # above p of about 1100, |x|^(2-p) can overflow while |x_i|^(p-1)
+    # underflows. With m the row max and s = sum_i (|x_i| / m)^p, the same
+    # J(x)_i is m (|x_i| / m)^(p-1) s^(2/p - 1), whose factors stay in
+    # range; s^(2/p - 1) also keeps ties at the max right where
+    # |x| = m s^(1/p) rounds to m (p above about 1e16). Rows with a finite
+    # factor keep the formula above and its bits.
+    big = np.isinf(factor)
+    if big.any():
+        mags = np.abs(scaled[big])
+        m_big = _row_max(mags)[:, None]
+        t = mags / m_big
+        s = _row_sum(t ** p)[:, None]
+        out[big] = (m_big * t ** (p - 1.0) * s ** (2.0 / p - 1.0)
+                    * np.sign(scaled[big]))
     out[~nonzero] = 0.0
     return np.ldexp(out, e[:, None])
 

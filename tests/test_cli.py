@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import lpvi
 from lpvi.cli import main
 
 BOX_IDENTITY = """
@@ -340,6 +342,28 @@ def test_oracle_agreement(tmp_path, capsys):
     assert record["solver_status"] == "converged"
 
 
+@pytest.mark.parametrize("p", ["2000", "1e6", "1e300"])
+def test_verify_pairing_at_huge_exponents(capsys, p):
+    code, out, err = run(capsys, "verify", "pairing", "--p", p, "--count", "500")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 3 and all(ln.endswith("PASS") for ln in lines)
+
+
+def test_oracle_agreement_at_a_huge_exponent(tmp_path, capsys):
+    text = (BOX_IDENTITY.replace("p = 2", "p = 2000")
+            .replace("lo = 1 1", "lo = -1 -1").replace("hi = 2 2", "hi = 0 0")
+            .replace("matrix = 1 0\n             0 1",
+                     "matrix = 3 0\n             0 3\n    offset = 1.5 1.5")
+            .replace("lambda = auto", "lambda = 0.1"))
+    code, out, err = run(capsys, "oracle", "--config", write(tmp_path, text),
+                         "--grid", "21,21")
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["agreement"] == "pass"
+    assert record["accepted"] == [[-0.5, -0.5]]
+
+
 def test_oracle_skips_when_everything_is_accepted(tmp_path, capsys):
     zero = BOX_IDENTITY.replace("matrix = 1 0\n             0 1",
                                 "matrix = 0 0\n             0 0")
@@ -398,7 +422,11 @@ def test_oracle_grid_flag_with_a_bad_count_is_a_config_error(tmp_path, capsys,
 
 
 def test_module_entry_point_runs_in_a_subprocess():
+    # the child imports the same lpvi this test does, wherever pytest found it
+    src = str(Path(lpvi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "lpvi", "verify", "factor"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

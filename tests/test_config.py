@@ -6,7 +6,7 @@ import pytest
 from lpvi import (Ball, Box, ConfigError, Halfspace, ResidualOfContraction,
                   UnsupportedRetractionError, UnsupportedSpaceError,
                   WholeSpace)
-from lpvi.config import load_config
+from lpvi.config import _floats, load_config
 
 GOOD = """
     [space]
@@ -231,3 +231,28 @@ def test_validation_of_solver_numbers(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/prob.ini")
+
+
+NUMBER_TOKENS = ["1_0", "+.5", "1.", "-0", "5e-324", "1e-400", "1e400", "nan",
+                 "-nan", "-Infinity", "INF", "0.1", "1E5", "١٢",
+                 "٣.٥"]
+
+
+def test_numbers_parse_as_python_float_does_bit_for_bit():
+    vals = _floats(" ".join(NUMBER_TOKENS), "map", "matrix", len(NUMBER_TOKENS))
+    expected = np.array([float(tok) for tok in NUMBER_TOKENS])
+    assert vals.dtype == np.float64
+    assert np.array_equal(vals.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("token", ["1,2", "0x1p3", "1__0", "1e", "nan(1)"])
+def test_bad_number_token_names_the_value(tmp_path, token):
+    text = f"1 {token}"
+    with pytest.raises(ConfigError) as info:
+        load_text(tmp_path, GOOD.replace("offset = -1.5 -1.25", f"offset = {text}"))
+    assert str(info.value) == f"[map] offset: could not parse numbers from {text!r}"
+
+
+def test_empty_number_list(tmp_path):
+    with pytest.raises(ConfigError, match=r"\[map\] offset: value is empty"):
+        load_text(tmp_path, GOOD.replace("offset = -1.5 -1.25", "offset ="))

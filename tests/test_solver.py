@@ -11,6 +11,7 @@ from lpvi import (Affine, Ball, BlackBox, Box, Certificate, Certification,
                   contraction_factor_sq, hilbert_factor_sq,
                   hilbert_step_interval, picard_solve, select_lambda, solve,
                   strict_step_intervals, vi_residual)
+from lpvi import solver as solver_module
 from lpvi.spaces import p_norm
 
 SQRT2 = 1.4142135623730951
@@ -351,6 +352,17 @@ def _bit_identity_cases():
         Problem(SpaceSpec(2, 2.0), Box([0.0, 0.0], [1.0, 1.0]),
                 Affine(np.eye(2), [-0.5, -0.5])),
         0.01, [1.0, 1.0], 40, id="iteration-limit"))
+    # n = 1 norms its (2, 1) buffer by the column fold; n = 8 is the width
+    # where numpy's row sum turns pairwise
+    for p in (1.5, 3.0):
+        for n in (1, 8):
+            b = _affine(rng, n)
+            box = _box_cutting(rng, b)
+            # short steps from the far corner, so the orbit is not clipped
+            # onto the answer at once
+            cases.append(pytest.param(
+                Problem(SpaceSpec(n, p), box, b),
+                0.05, box.lo, 2000, id=f"box-p{p}-n{n}"))
     return cases
 
 
@@ -387,3 +399,32 @@ def test_picard_divergence_messages_and_partial_trace(mapping, lam, message):
     assert str(info.value) == str(ref.value) == message
     assert len(info.value.trace) > 500
     assert info.value.trace == ref.value.trace
+
+
+def test_picard_takes_one_norm_call_and_one_finiteness_check_per_iteration(
+        monkeypatch):
+    calls = {"norm_rows": 0, "map": 0, "isfinite": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver_module, "norm_rows",
+                        counted("norm_rows", solver_module.norm_rows))
+    monkeypatch.setattr(solver_module, "evaluate_rows_unchecked",
+                        counted("map", solver_module.evaluate_rows_unchecked))
+    monkeypatch.setattr(np, "isfinite", counted("isfinite", np.isfinite))
+    prob = Problem(SpaceSpec(3, 3.0), Box([0.0] * 3, [1.0] * 3),
+                   Affine(np.eye(3), [-0.5, -0.5, -0.5]))
+    seen = []
+    for max_iter in (10, 30):
+        calls.update(norm_rows=0, map=0, isfinite=0)
+        rep = picard_solve(prob, 0.01, [1.0, 1.0, 1.0], max_iter=max_iter)
+        assert rep.iterations == max_iter
+        # one more than the iterations: x_0's step and size share a call
+        assert calls["norm_rows"] == calls["map"] == max_iter + 1
+        seen.append(calls["isfinite"])
+    # twenty more iterations, twenty more checks; the rest is validation
+    assert seen[1] - seen[0] == 20

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +263,38 @@ def test_norm_duality_spot_check():
         assert best <= nx * (1.0 + 1e-9)
         attain = pairing(duality_map(x, p) / nx, x)
         assert attain == pytest.approx(nx, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [100.0, 500.0, 999.0, 1000.0, 1001.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+def test_duality_map_rows_keeps_its_bits_up_to_p_1000(p, n):
+    # the regrouped formula for huge p must leave every other row alone
+    rng = np.random.default_rng([n, int(p)])
+    for rows in (1, 3, 1200):
+        xs = awkward_rows(rng, rows, n)
+        for a in (xs, np.asfortranarray(xs)):
+            assert same_bits(duality_map_rows(a, p),
+                             axis_duality_map_rows(a, p))
+
+
+@pytest.mark.parametrize("p", [1100.0, 1200.0, 2000.0, 1e6, 1e300])
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_duality_map_identities_hold_at_huge_p(p, n):
+    rng = np.random.default_rng([n, 7])
+    xs = rng.standard_normal((200, n)) * 10.0 ** rng.uniform(-200, 200, (200, 1))
+    xs[0] = 3.0            # ties at the max
+    xs[1, 0] = 0.5         # a max at the bottom of its binade
+    xs[2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        js = duality_map_rows(xs, p)
+    assert np.isfinite(js).all()
+    assert not js[2].any()
+    q = p / (p - 1.0)      # 1.0 at p = 1e300, below what p_norm accepts
+    for x, j in zip(np.delete(xs, 2, 0), np.delete(js, 2, 0)):
+        nx = p_norm(x, p)
+        # unit-scaled so the squares stay in range
+        assert np.dot(j / nx, x / nx) == pytest.approx(1.0, rel=1e-12)
+        mj = np.max(np.abs(j))
+        jq = mj * np.sum((np.abs(j) / mj) ** q) ** (1.0 / q)
+        assert jq == pytest.approx(nx, rel=1e-12)
