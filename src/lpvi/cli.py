@@ -249,6 +249,11 @@ def cmd_verify(args) -> int:
                 rep = pairing_inequality_sweep(p, n, count, seed)
                 ok &= _report_line(f"pairing inequality p={p} n={n}",
                                    rep.min_margin, -_DUALITY_TOL, "min")
+                # J(0) = 0 makes the pinned pair's slack exactly 0
+                if not rep.pinned_slack == 0.0:
+                    print(f"pinned pair x = 0 p={p} n={n}: slack"
+                          f" {rep.pinned_slack:.3e} != 0 FAIL")
+                    ok = False
     else:  # factor
         factor = hilbert_rule_factor()
         exact = factor == -0.97
@@ -373,9 +378,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _err(exc)
-        return 2
     except (UnsupportedSpaceError, UnsupportedRetractionError,
             UnsupportedOracleError) as exc:
         _err(exc)
@@ -383,8 +385,8 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         _err(f"diverged after {len(exc.trace)} recorded iterations: {exc}")
         return 4
-    except (InvalidInputError, ShapeError, EstimationError, EvaluationError,
-            ResourceError) as exc:
+    except (ConfigError, InvalidInputError, ShapeError, EstimationError,
+            EvaluationError, ResourceError) as exc:
         _err(exc)
         return 2
 

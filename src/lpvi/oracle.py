@@ -195,10 +195,11 @@ def check_pairing_inequality(x, y, p) -> float:
 
 @dataclass(eq=False)
 class PairingSweep:
-    min_margin: float           # min slack / (1 + |x| |y|) over the sweep
+    min_margin: float           # min slack / (1 + |x| |y|) over the drawn pairs
     worst_x: np.ndarray
     worst_y: np.ndarray
     pairs: int
+    pinned_slack: float         # slack of the pair with x = 0: exactly 0 iff J(0) = 0
 
 
 def pairing_inequality_sweep(p, n: int, pairs: int, seed: int,
@@ -208,11 +209,15 @@ def pairing_inequality_sweep(p, n: int, pairs: int, seed: int,
     Pairs are drawn uniformly in [-scale, scale]^n and then stretched by
     a random power of ten per pair so several magnitudes are probed. The
     margin is normalized by 1 + |x| |y| to make one tolerance meaningful
-    across magnitudes.
+    across magnitudes. The first pair is pinned to x = 0, where the
+    slack is exactly 0 when J(0) = 0; it is reported on its own, and the
+    minimum margin is taken over the other pairs.
     """
     p = check_exponent(p)
-    if n < 1 or pairs < 1:
-        raise InvalidInputError("need n >= 1 and pairs >= 1")
+    if n < 1 or pairs < 2:
+        raise InvalidInputError(
+            f"need n >= 1 and pairs >= 2 (one pair is pinned at x = 0),"
+            f" got n = {n}, pairs = {pairs}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-scale, scale, size=(pairs, n))
     ys = rng.uniform(-scale, scale, size=(pairs, n))
@@ -229,9 +234,10 @@ def pairing_inequality_sweep(p, n: int, pairs: int, seed: int,
     ny = norm_rows(ys, p)
     slack = (cross + 4.0 * nx * ny) - rhs
     margin = slack / (1.0 + nx * ny)
-    i = int(np.argmin(margin))
+    i = 1 + int(np.argmin(margin[1:]))
     return PairingSweep(min_margin=float(margin[i]), worst_x=xs[i].copy(),
-                        worst_y=ys[i].copy(), pairs=pairs)
+                        worst_y=ys[i].copy(), pairs=pairs,
+                        pinned_slack=float(slack[0]))
 
 
 def hilbert_rule_factor(r: float = 1.0, gamma: float = 1.0, s: float = 1.0,

@@ -102,10 +102,6 @@ class Halfspace:
 ConvexSet = WholeSpace | Box | Ball | Halfspace
 
 
-def set_dim(cset) -> int:
-    return cset.dim
-
-
 class RetractionMode(str, Enum):
     EXACT_SUNNY = "exact-sunny"
     METRIC_PROJECTION = "metric-projection"
@@ -156,7 +152,7 @@ def contains(cset, x, tol: float = 0.0) -> bool:
     Euclidean norm for balls, in the pairing for halfspaces)."""
     if tol < 0.0:
         raise InvalidInputError(f"tol must be nonnegative, got {tol}")
-    x = as_vector(x, dim=set_dim(cset))
+    x = as_vector(x, dim=cset.dim)
     return bool(members_mask(cset, x[None, :], tol)[0])
 
 
@@ -196,7 +192,7 @@ def retract(cset, x, p) -> np.ndarray:
     support = retraction_support(cset, p)
     if support.mode is RetractionMode.UNSUPPORTED:
         raise UnsupportedRetractionError(support.reason)
-    x = as_vector(x, dim=set_dim(cset))
+    x = as_vector(x, dim=cset.dim)
     return retract_rows(cset, x[None, :], p)[0]
 
 
@@ -225,8 +221,8 @@ def sample_in_set(cset, count: int, seed: int, bounds=None) -> np.ndarray:
                 "sampling an unbounded set requires an explicit bounds box"
             )
     else:
-        lo = as_vector(bounds[0], dim=set_dim(cset), name="bounds lo")
-        hi = as_vector(bounds[1], dim=set_dim(cset), name="bounds hi")
+        lo = as_vector(bounds[0], dim=cset.dim, name="bounds lo")
+        hi = as_vector(bounds[1], dim=cset.dim, name="bounds hi")
         if not np.all(lo <= hi):
             raise InvalidInputError("bounds box is empty")
     rng = np.random.default_rng(seed)
@@ -260,9 +256,9 @@ def verify_sunny(cset, x, p, ts) -> float:
     if not np.all(np.isfinite(ts)) or np.any(ts < 0.0):
         raise InvalidInputError("ray parameters must be finite and >= 0")
     qx = retract(cset, x, p)
-    x = as_vector(x, dim=set_dim(cset))
+    x = as_vector(x, dim=cset.dim)
     again = retract_rows(cset, qx + ts[:, None] * (x - qx), p)
-    return max(0.0, float(np.max(norm_rows(again - qx, p))))
+    return float(np.max(norm_rows(again - qx, p)))
 
 
 def _characterization_bounds(cset, x, x0):
@@ -282,7 +278,7 @@ def verify_characterization(cset, x, p, sample_count: int, seed: int) -> float:
         raise InvalidInputError(f"sample_count must be >= 1, got {sample_count}")
     p = check_exponent(p)
     x0 = retract(cset, x, p)
-    x = as_vector(x, dim=set_dim(cset))
+    x = as_vector(x, dim=cset.dim)
     if isinstance(cset, (Box, Ball)):
         ys = sample_in_set(cset, sample_count, seed)
     else:

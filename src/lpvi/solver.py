@@ -35,7 +35,7 @@ from .errors import (ConfigError, DivergenceError, EvaluationError,
 from .maps import (Certificate, Feasibility, Mapping, certificate_feasibility,
                    evaluate, evaluate_rows_unchecked)
 from .sets import (ConvexSet, RetractionMode, retract, retract_rows,
-                   retraction_support, set_dim)
+                   retraction_support)
 from .spaces import SpaceSpec, as_vector, norm_rows, p_norm
 
 
@@ -53,9 +53,9 @@ class Problem:
     cert: Certificate | None = None
 
     def __post_init__(self):
-        if set_dim(self.cset) != self.space.n:
+        if self.cset.dim != self.space.n:
             raise ShapeError(
-                f"set dimension {set_dim(self.cset)} does not match space"
+                f"set dimension {self.cset.dim} does not match space"
                 f" dimension {self.space.n}")
         if self.mapping.dim != self.space.n:
             raise ShapeError(
@@ -117,6 +117,14 @@ def hilbert_step_interval(cert: Certificate) -> tuple[float, float] | None:
     return (0.0, 2.0 * excess / (cert.mu * cert.mu))
 
 
+def _check_step(lam) -> float:
+    """lam as a float, refused unless positive and finite."""
+    lam = float(lam)
+    if not np.isfinite(lam) or lam <= 0.0:
+        raise InvalidInputError(f"step size must be positive and finite, got {lam}")
+    return lam
+
+
 def contraction_factor_sq(cert: Certificate, lam: float) -> float:
     """Squared contraction factor 1 - lam (v - u mu^2 - 5 mu) + lam^2 mu^2.
 
@@ -126,9 +134,7 @@ def contraction_factor_sq(cert: Certificate, lam: float) -> float:
     (hypotheses empty at those constants; see the oracle module's
     hilbert_rule_factor for the classical example).
     """
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise InvalidInputError(f"step size must be positive and finite, got {lam}")
+    lam = _check_step(lam)
     u, v, mu = cert.u, cert.v, cert.mu
     return 1.0 - lam * (v - u * mu * mu - 5.0 * mu) + lam * lam * mu * mu
 
@@ -136,9 +142,7 @@ def contraction_factor_sq(cert: Certificate, lam: float) -> float:
 def hilbert_factor_sq(cert: Certificate, lam: float) -> float:
     """Empirical-rate proxy at p = 2: 1 - 2 lam (v - u mu^2) + lam^2 mu^2,
     clipped into [0, 1)."""
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise InvalidInputError(f"step size must be positive and finite, got {lam}")
+    lam = _check_step(lam)
     u, v, mu = cert.u, cert.v, cert.mu
     q2 = 1.0 - 2.0 * lam * (v - u * mu * mu) + lam * lam * mu * mu
     return min(max(q2, 0.0), math.nextafter(1.0, 0.0))
@@ -185,6 +189,13 @@ def check_stopping_rule(tol: float, max_iter: int) -> None:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
 
 
+def _block_size(n: int) -> int:
+    """Most iterates per block of the Picard loop: 16, and fewer above
+    n = 256, where one norm call already spans 4096 entries and each
+    advance past the stop is a costly matvec."""
+    return max(1, min(16, 4096 // n))
+
+
 def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
                  max_iter: int = 10 ** 6,
                  certification: Certification = Certification.UNCERTIFIED
@@ -198,60 +209,89 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     iterate or evaluator failure raises DivergenceError carrying the
     trace so far. Trace rows are (iteration, step_norm, residual).
 
-    Arguments are validated once, up front; the loop runs the row kernels
-    on one-row arrays. Each iteration makes one norm_rows call, on a
-    two-row buffer: |x_{k+1} - G(x_{k+1})|, the residual and bitwise the
-    next step, and |x_{k+1}|, the next stop test's size. norm_rows reduces
-    rows apart (one reduce call for n >= 2, an exact column fold of the
-    moduli at n = 1), so both keep the bits of one-row calls. It makes one
-    finiteness check, on x - lam * Bx, which a non-finite Bx always makes
-    non-finite; Bx is looked at only to name the failure.
+    Arguments are validated once, up front. The loop advances blocks of
+    1, 2, 4, ... iterates, at most K = _block_size(n), through the row
+    kernels into one buffer, then norms every step |x_j - x_{j+1}| and
+    size |x_j| of the block in one norm_rows call and settles the stop
+    tests and trace rows in order. norm_rows reduces rows apart (the one-row reduce at n >= 8,
+    an exact column fold below), so every number, the trace and the
+    final point have the bits of a loop that norms each iterate alone.
+    Each advance makes one finiteness check, on x - lam * Bx, which a
+    non-finite Bx always makes non-finite; Bx only names the failure.
+
+    A block may advance past the stop, by fewer iterates than came
+    before it and at most K - 1; they are dropped, though a black-box
+    map sees the calls. A failed advance ends its block, whose rows are
+    settled first: DivergenceError is raised only if none of them
+    stops, and B is never evaluated past the failure.
     """
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise InvalidInputError(f"step size must be positive and finite, got {lam}")
+    lam = _check_step(lam)
     check_stopping_rule(tol, max_iter)
     if certification is Certification.HILBERT and problem.cert is None:
         raise InvalidInputError("hilbert certification needs a certificate")
-    p, cset, mapping = problem.space.p, problem.cset, problem.mapping
+    n, p = problem.space.n, problem.space.p
+    cset, mapping = problem.cset, problem.mapping
+    block = _block_size(n)
+    xs = np.empty((block + 1, n))    # x_j, then the block's new iterates
+    pairs = np.empty((2 * block, n))  # the block's steps, then its sizes
+    rows = [xs[i:i + 1] for i in range(block + 1)]
     trace: list[tuple[int, float, float]] = []
-    pair = np.empty((2, problem.space.n))
 
-    def advance(xs):
+    def advance(x, out):
+        """Write G(x) into out, for one-row arrays."""
         try:
-            bx = evaluate_rows_unchecked(mapping, xs)
+            bx = evaluate_rows_unchecked(mapping, x)
         except EvaluationError as exc:
-            raise DivergenceError(str(exc), trace=trace) from exc
-        image = xs - lam * bx
+            raise DivergenceError(str(exc)) from exc
+        image = x - lam * bx
         if not np.isfinite(image).all():
             raise DivergenceError(
                 "iterate became non-finite" if np.isfinite(bx).all()
-                else "mapping produced non-finite output", trace=trace)
-        return retract_rows(cset, image, p)
+                else "mapping produced non-finite output")
+        out[...] = retract_rows(cset, image, p)
 
-    def norms(a, b):
-        """|a - b| and |a| of two one-row arrays, in one norm_rows call."""
-        np.subtract(a[0], b[0], out=pair[0])
-        pair[1] = a[0]
-        return norm_rows(pair, p).tolist()
+    def orbit():
+        """(x_j, |x_j - x_{j+1}|, |x_j|) for j = 0 to max_iter, computed a
+        block at a time; x_j is a view into the buffer."""
+        base, length = 0, 1   # orbit index of xs[0]; iterates to advance
+        while True:
+            count = min(length, max_iter + 1 - base)
+            failure = None
+            for i in range(count):
+                try:
+                    advance(rows[i], rows[i + 1])
+                except DivergenceError as exc:
+                    failure, count = exc, i
+                    break
+            np.subtract(xs[:count], xs[1:count + 1], out=pairs[:count])
+            pairs[count:2 * count] = xs[:count]
+            norms = norm_rows(pairs[:2 * count], p).tolist()
+            for i in range(count):
+                yield xs[i], norms[i], norms[count + i]
+            if failure is not None:
+                raise DivergenceError(str(failure), trace=trace) \
+                    from failure.__cause__
+            base += count
+            if base > max_iter:
+                return
+            xs[0] = xs[count]
+            length = min(2 * length, block)
 
     # overflow in the loop is divergence, reported by advance, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        x = retract(cset, as_vector(x0, problem.space.n, name="x0"), p)[None, :]
-        nxt = advance(x)
-        step, size = norms(x, nxt)
-        for k in range(1, max_iter + 1):
-            after = advance(nxt)
-            residual, next_size = norms(nxt, after)
+        xs[0] = retract(cset, as_vector(x0, n, name="x0"), p)
+        points = orbit()
+        _, step, size = next(points)
+        status = SolveStatus.ITERATION_LIMIT
+        for k, (x, residual, next_size) in enumerate(points, start=1):
             trace.append((k, step, residual))
-            stop = step <= tol * (1.0 + size)
-            x, nxt, step, size = nxt, after, residual, next_size
-            if stop:
+            if step <= tol * (1.0 + size):
+                status = SolveStatus.CONVERGED
                 break
-    status = SolveStatus.CONVERGED if stop else SolveStatus.ITERATION_LIMIT
+            step, size = residual, next_size
     factor = (hilbert_factor_sq(problem.cert, lam)
               if certification is Certification.HILBERT else None)
-    return SolveReport(final_point=x[0], iterations=len(trace),
+    return SolveReport(final_point=x.copy(), iterations=len(trace),
                        final_residual=residual, lam=lam,
                        certification=certification, status=status,
                        contraction_factor_sq=factor, trace=trace)
@@ -259,9 +299,7 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
 
 def vi_residual(problem: Problem, x, lam: float) -> float:
     """Fixed-point residual |x - Q(x - lam * Bx)|_p; zero exactly at solutions."""
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise InvalidInputError(f"step size must be positive and finite, got {lam}")
+    lam = _check_step(lam)
     x = as_vector(x, dim=problem.space.n)
     p = problem.space.p
     image = x - lam * evaluate(problem.mapping, x)

@@ -8,6 +8,7 @@ thresholds and can replay any failure from the seed alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,15 @@ from .errors import InvalidInputError
 from .sets import (Ball, Box, Halfspace, retract, retract_rows, sample_in_set,
                    verify_characterization, verify_sunny)
 from .spaces import dual_exponent, duality_map_rows, norm_rows, pairing_rows
+
+
+def _worst(pick, worst: float, value) -> float:
+    """pick(worst, value) for pick max or min, but NaN once either is
+    NaN: Python's max(0.0, nan) is 0.0 and min(inf, nan) is inf, which
+    would print a failed check as a pass."""
+    value = float(value)
+    return math.nan if math.isnan(worst) or math.isnan(value) \
+        else pick(worst, value)
 
 
 @dataclass(eq=False)
@@ -56,22 +66,21 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
             nx = norm_rows(xs, p)
             nj = norm_rows(js, q)
             pairings = pairing_rows(js, xs)
-            report.worst_identity = max(
-                report.worst_identity,
-                float(np.max(np.abs(pairings - nx ** 2) / (1.0 + nx ** 2))))
-            report.worst_norm = max(
-                report.worst_norm,
-                float(np.max(np.abs(nj - nx) / (1.0 + nx))))
+            report.worst_identity = _worst(
+                max, report.worst_identity,
+                np.max(np.abs(pairings - nx ** 2) / (1.0 + nx ** 2)))
+            report.worst_norm = _worst(
+                max, report.worst_norm, np.max(np.abs(nj - nx) / (1.0 + nx)))
             ts = rng.uniform(0.0, 4.0, size=count)
             ts[0] = 0.0
             scaled = duality_map_rows(ts[:, None] * xs, p)
-            report.worst_homogeneity = max(
-                report.worst_homogeneity,
-                float(np.max(norm_rows(scaled - ts[:, None] * js, q)
-                             / (1.0 + ts * nx))))
+            report.worst_homogeneity = _worst(
+                max, report.worst_homogeneity,
+                np.max(norm_rows(scaled - ts[:, None] * js, q)
+                       / (1.0 + ts * nx)))
             if p == 2.0:
-                dev = float(np.max(np.abs(js - xs)))
-                report.worst_hilbert = max(report.worst_hilbert or 0.0, dev)
+                report.worst_hilbert = _worst(
+                    max, report.worst_hilbert or 0.0, np.max(np.abs(js - xs)))
             # Hoelder bound <f, x> <= |f|_q |x|_p, spot-checked on random
             # unit functionals, with equality attained by Jx / |x|_p
             probe = xs[nx > 0.0][:16]
@@ -81,14 +90,14 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
                 fs = fs[norm_rows(fs, q) > 0.0]
                 fs /= norm_rows(fs, q)[:, None]
                 vals = fs @ probe.T  # (functionals, probe points)
-                report.worst_bound_excess = max(
-                    report.worst_bound_excess,
-                    float(np.max((vals - pn[None, :]) / (1.0 + pn[None, :]))))
+                report.worst_bound_excess = _worst(
+                    max, report.worst_bound_excess,
+                    np.max((vals - pn[None, :]) / (1.0 + pn[None, :])))
                 jprobe = duality_map_rows(probe, p) / pn[:, None]
                 attained = pairing_rows(jprobe, probe)
-                report.worst_attainment = max(
-                    report.worst_attainment,
-                    float(np.max(np.abs(attained - pn) / (1.0 + pn))))
+                report.worst_attainment = _worst(
+                    max, report.worst_attainment,
+                    np.max(np.abs(attained - pn) / (1.0 + pn)))
             report.checks += count
     return report
 
@@ -130,8 +139,8 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
         qys = retract_rows(cset, ys, p)
         qx = qxs[:64]
         qqx = retract_rows(cset, qx, p)
-        rep.max_idempotence_dev = max(
-            rep.max_idempotence_dev, float(np.max(np.abs(qqx - qx))))
+        rep.max_idempotence_dev = _worst(
+            max, rep.max_idempotence_dev, np.max(np.abs(qqx - qx)))
         # centred on the point of C nearest the origin, the box always
         # keeps half its volume inside a halfspace
         centre = retract(cset, np.zeros(n), p)
@@ -139,28 +148,29 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
                                 bounds=((centre - 6.0, centre + 6.0)
                                         if isinstance(cset, Halfspace) else None))
         fixed = retract_rows(cset, members, p)
-        rep.max_identity_dev = max(
-            rep.max_identity_dev, float(np.max(np.abs(fixed - members))))
+        rep.max_identity_dev = _worst(
+            max, rep.max_identity_dev, np.max(np.abs(fixed - members)))
         probe = xs[0]
         rep_char = verify_characterization(cset, probe, p,
                                            characterization_samples, seed + 2)
         scale = 1.0 + norm_rows(probe[None, :], p)[0] ** 2
-        rep.min_characterization = min(rep.min_characterization,
-                                       rep_char / scale)
+        rep.min_characterization = _worst(min, rep.min_characterization,
+                                          rep_char / scale)
         dev = verify_sunny(cset, probe, p, ts)
         if isinstance(cset, Box):
-            rep.max_box_sunny_dev = max(rep.max_box_sunny_dev, dev)
+            rep.max_box_sunny_dev = _worst(max, rep.max_box_sunny_dev, dev)
         else:
-            rep.max_hilbert_sunny_dev = max(rep.max_hilbert_sunny_dev, dev)
+            rep.max_hilbert_sunny_dev = _worst(max, rep.max_hilbert_sunny_dev,
+                                               dev)
         excess = norm_rows(qxs - qys, p) - norm_rows(xs - ys, p)
-        rep.max_nonexpansive_excess = max(rep.max_nonexpansive_excess,
-                                          float(np.max(excess)))
+        rep.max_nonexpansive_excess = _worst(max, rep.max_nonexpansive_excess,
+                                             np.max(excess))
         if p == 2.0:
             gap = (pairing_rows(xs - ys, qxs - qys)
                    - norm_rows(qxs - qys, 2.0) ** 2)
-            rep.min_projection_inequality = min(
-                rep.min_projection_inequality,
-                float(np.min(gap / (1.0 + norm_rows(xs - ys, 2.0) ** 2))))
+            rep.min_projection_inequality = _worst(
+                min, rep.min_projection_inequality,
+                np.min(gap / (1.0 + norm_rows(xs - ys, 2.0) ** 2)))
 
     for p in p_values:
         for n in (2, 3, 7):

@@ -6,6 +6,7 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lpvi
@@ -430,3 +431,71 @@ def test_module_entry_point_runs_in_a_subprocess():
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def _break_kernel(monkeypatch, kernel):
+    """Put NaN into row 3 of every result of `kernel` that has four rows
+    or more, wherever lpvi calls it; returns the count of such results."""
+    from lpvi import maps, oracle, sets, solver, spaces, sweeps
+    real = getattr(sets if kernel == "retract_rows" else spaces, kernel)
+    broken_results = [0]
+
+    def broken(*args, **kwargs):
+        out = np.array(real(*args, **kwargs), dtype=float)
+        if out.shape[0] > 3:
+            out[3] = np.nan
+            broken_results[0] += 1
+        return out
+
+    for module in (spaces, sets, maps, sweeps, oracle, solver):
+        if hasattr(module, kernel):
+            monkeypatch.setattr(module, kernel, broken)
+    return broken_results
+
+
+@pytest.mark.parametrize("suite", ["duality", "pairing", "retraction"])
+@pytest.mark.parametrize("kernel",
+                         ["duality_map_rows", "norm_rows", "retract_rows"])
+def test_verify_fails_on_a_nan_row(capsys, monkeypatch, kernel, suite):
+    _, clean, _ = run(capsys, "verify", suite, "--count", "300")
+    broken_results = _break_kernel(monkeypatch, kernel)
+    code, out, err = run(capsys, "verify", suite, "--count", "300")
+    if broken_results[0]:
+        assert code == 1
+        assert err == f"error: verify {suite} failed; reproduce with --seed 0\n"
+        # every figure the NaN reaches fails; none turns into a pass
+        pairs = list(zip(out.splitlines(), clean.splitlines(), strict=True))
+        changed = [line for line, was in pairs if line != was]
+        assert changed and all(line.endswith("FAIL") for line in changed)
+    else:
+        # the duality and pairing suites retract nothing
+        assert (kernel, code, out) == ("retract_rows", 0, clean)
+
+
+def test_verify_pairing_checks_the_pinned_pair(capsys, monkeypatch):
+    from lpvi import oracle
+    real = oracle.duality_map_rows
+
+    def j_of_zero_is_one(xs, p):
+        out = real(xs, p)
+        out[~np.any(xs, axis=1)] = 1.0
+        return out
+
+    code, out, _ = run(capsys, "verify", "pairing", "--count", "300")
+    assert code == 0 and len(out.splitlines()) == 9
+    monkeypatch.setattr(oracle, "duality_map_rows", j_of_zero_is_one)
+    code, broken, _ = run(capsys, "verify", "pairing", "--count", "300")
+    assert code == 1
+    lines = broken.splitlines()
+    # the drawn pairs still pass; each pinned pair fails on its own line
+    assert [ln for ln in lines if ln.endswith("PASS")] == out.splitlines()
+    pinned = [ln for ln in lines if ln.startswith("pinned pair x = 0")]
+    assert len(pinned) == 9 and all(ln.endswith("FAIL") for ln in pinned)
+
+
+def test_verify_pairing_needs_two_pairs(capsys):
+    code, out, err = run(capsys, "verify", "pairing", "--count", "1")
+    assert code == 2 and out == ""
+    assert "pairs >= 2" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "verify", "pairing", "--count", "2")
+    assert code == 0 and len(out.splitlines()) == 9

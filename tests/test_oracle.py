@@ -250,3 +250,14 @@ def test_hilbert_rule_factor_other_points():
     assert hilbert_rule_factor(r=1.0, gamma=1.0, s=1.0, mu=1.0) == 2.0
     with pytest.raises(InvalidInputError):
         hilbert_rule_factor(mu=np.inf)
+
+
+def test_pairing_sweep_reports_the_pinned_pair_apart():
+    sweep = pairing_inequality_sweep(3.0, 4, pairs=500, seed=17)
+    # J(0) = 0 makes the pinned pair's slack exactly 0; the minimum is
+    # over the drawn pairs, which the pinned one would mask
+    assert sweep.pinned_slack == 0.0
+    assert sweep.min_margin > 0.0
+    assert np.any(sweep.worst_x != 0.0)
+    with pytest.raises(InvalidInputError, match="pairs >= 2"):
+        pairing_inequality_sweep(3.0, 4, pairs=1, seed=17)

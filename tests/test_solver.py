@@ -423,8 +423,141 @@ def test_picard_takes_one_norm_call_and_one_finiteness_check_per_iteration(
         calls.update(norm_rows=0, map=0, isfinite=0)
         rep = picard_solve(prob, 0.01, [1.0, 1.0, 1.0], max_iter=max_iter)
         assert rep.iterations == max_iter
-        # one more than the iterations: x_0's step and size share a call
-        assert calls["norm_rows"] == calls["map"] == max_iter + 1
+        # one norm call per block; blocks of 1, 2, 4, 8 and 16 iterates
+        # hold the 11 after x_0 in four blocks and the 31 in five
+        assert calls["norm_rows"] == {10: 4, 30: 5}[max_iter]
+        assert calls["map"] == max_iter + 1
         seen.append(calls["isfinite"])
     # twenty more iterations, twenty more checks; the rest is validation
     assert seen[1] - seen[0] == 20
+
+
+def assert_matches_reference(make_problem, lam, x0, tol, max_iter):
+    """picard_solve on a fresh make_problem() gives the reference loop's
+    report, or its DivergenceError message and partial trace. Returns
+    the report, or None after a divergence."""
+    try:
+        point, iterations, residual, status, trace = reference_picard_solve(
+            make_problem(), lam, x0, tol=tol, max_iter=max_iter)
+    except DivergenceError as ref:
+        with pytest.raises(DivergenceError) as info:
+            picard_solve(make_problem(), lam, x0, tol=tol, max_iter=max_iter)
+        assert str(info.value) == str(ref)
+        assert info.value.trace == ref.trace
+        return None
+    rep = picard_solve(make_problem(), lam, x0, tol=tol, max_iter=max_iter)
+    assert rep.trace == trace
+    assert rep.final_point.tobytes() == point.tobytes()
+    assert (rep.iterations, rep.final_residual, rep.status) == \
+        (iterations, residual, status)
+    return rep
+
+
+BLOCK_AT_N2 = solver_module._block_size(2)
+
+
+def test_picard_stops_at_every_offset_in_a_block():
+    # steps halve every iteration, so halving tol in half-powers of two
+    # moves the stop through every iteration of the first blocks, the
+    # first full one (iterations 31 to 46) included
+    prob = Problem(SpaceSpec(2, 3.0), Box([-1.0, -1.0], [1.0, 1.0]),
+                   ResidualOfContraction(Affine(0.5 * np.eye(2)), 0.5))
+    stops = set()
+    for e in range(2, 130):
+        rep = assert_matches_reference(lambda: prob, 1.0, [1.0, 0.7],
+                                       tol=2.0 ** (-e / 2), max_iter=10 ** 6)
+        assert rep.status is SolveStatus.CONVERGED
+        stops.add(rep.iterations)
+    assert set(range(1, 3 * BLOCK_AT_N2 + 2)) <= stops
+
+
+@pytest.mark.parametrize("max_iter", range(1, 2 * BLOCK_AT_N2 + 2))
+def test_picard_iteration_limit_at_every_block_offset(max_iter):
+    prob = Problem(SpaceSpec(2, 2.0), Box([0.0, 0.0], [1.0, 1.0]),
+                   Affine(np.eye(2), [-0.5, -0.5]))
+    rep = assert_matches_reference(lambda: prob, 0.01, [1.0, 1.0],
+                                   tol=1e-10, max_iter=max_iter)
+    assert rep.status is SolveStatus.ITERATION_LIMIT
+    assert rep.iterations == max_iter
+
+
+def _tanh_problem(good_calls):
+    """A black box that raises on its (good_calls + 1)-th call; with
+    every call good, the solve at tol 1e-8 stops at iteration 20."""
+    shift = np.array([0.5, -0.25, 1.0])
+    made = [0]
+
+    def func(x):
+        made[0] += 1
+        if made[0] > good_calls:
+            raise RuntimeError(f"gave out after {good_calls} calls")
+        return x + 0.3 * np.tanh(x) - shift
+
+    return Problem(SpaceSpec(3, 2.5), Box([-1.0, -1.0, -1.0], [0.25, 0.5, 2.0]),
+                   BlackBox(func, 3))
+
+
+@pytest.mark.parametrize("good_calls", range(2 * BLOCK_AT_N2 + 3))
+def test_picard_black_box_failing_at_every_call(good_calls):
+    rep = assert_matches_reference(lambda: _tanh_problem(good_calls), 0.5,
+                                   [1.0, -2.0, 0.25], tol=1e-8, max_iter=10 ** 6)
+    # iteration 20 stops only once B has been evaluated at x_20
+    if good_calls >= 21:
+        assert rep.status is SolveStatus.CONVERGED and rep.iterations == 20
+    else:
+        assert rep is None
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "raise"])
+@pytest.mark.parametrize("good_calls", [5, 6])
+def test_picard_failure_past_the_stop(bad, good_calls):
+    # x <- clip(x - (0.25, 0.25)) on [0, 1]^2 from (1, 1) reaches 0 at
+    # x_4 and stops at iteration 5, once B has been evaluated at x_5; the
+    # block that advances x_4 to x_7 runs past that
+    calls = [0]
+
+    def func(x):
+        calls[0] += 1
+        if calls[0] <= good_calls:
+            return np.full(2, 0.25)
+        if bad == "raise":
+            raise RuntimeError("gave out")
+        return np.full(2, float(bad))
+
+    def make_problem():
+        calls[0] = 0
+        return Problem(SpaceSpec(2, 2.0), Box([0.0, 0.0], [1.0, 1.0]),
+                       BlackBox(func, 2))
+
+    rep = assert_matches_reference(make_problem, 1.0, [1.0, 1.0], tol=1e-10,
+                                   max_iter=100)
+    if good_calls == 6:
+        # the failing call came past the stop: the rows before it settle
+        assert rep.status is SolveStatus.CONVERGED and rep.iterations == 5
+    else:
+        assert rep is None
+    # B is never evaluated past the failing call
+    assert calls[0] == good_calls + 1
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
+def test_picard_matches_the_reference_across_widths(n, p):
+    # n = 1 and 7 norm by column folds, 8 and 9 by numpy's pairwise row
+    # sum; n = 1000 runs blocks of 4
+    rng = np.random.default_rng(n)
+    b = _affine(rng, n)
+    box = _box_cutting(rng, b)
+    prob = Problem(SpaceSpec(n, p), box, b)
+    lam = 0.01 if n == 1 else 0.3
+    block = solver_module._block_size(n)
+    for max_iter in range(1, 2 * block + 2):
+        rep = assert_matches_reference(lambda: prob, lam, box.lo, tol=1e-13,
+                                       max_iter=max_iter)
+        assert rep.status is SolveStatus.ITERATION_LIMIT
+    rep = assert_matches_reference(lambda: prob, lam, box.lo, tol=1e-13,
+                                   max_iter=10 ** 4)
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.iterations > 2 * block + 1
+    # a fresh array, not a view into the loop's buffer
+    assert rep.final_point.base is None

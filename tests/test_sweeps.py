@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -60,3 +61,17 @@ def test_retraction_suite_samples_a_halfspace_far_from_the_origin():
     assert rep.max_identity_dev <= 1e-12
     assert rep.min_characterization >= -TOL
     assert rep.min_projection_inequality >= -TOL
+
+
+def test_worst_is_python_max_and_min_unless_nan():
+    from lpvi.sweeps import _worst
+    values = [-math.inf, -1.5, -0.0, 0.0, 2.0, math.inf]
+    for pick in (max, min):
+        for a in values:
+            for b in values:
+                got = _worst(pick, a, b)
+                assert (got, math.copysign(1.0, got)) == \
+                    (pick(a, b), math.copysign(1.0, pick(a, b)))
+            # Python's max(0.0, nan) is 0.0; the fold keeps the NaN
+            assert math.isnan(_worst(pick, a, math.nan))
+            assert math.isnan(_worst(pick, math.nan, a))
