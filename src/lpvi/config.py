@@ -237,8 +237,10 @@ def load_config(path: str) -> LoadedConfig:
                 solver.lam = _float(text, "solver", "lambda")
         if cp.has_option("solver", "tol"):
             solver.tol = _float(cp.get("solver", "tol"), "solver", "tol")
-            if solver.tol <= 0.0:
+            if not solver.tol > 0.0:
                 _fail("solver", "tol", "must be positive")
+            if solver.tol == float("inf"):
+                _fail("solver", "tol", "must be finite")
         if cp.has_option("solver", "max_iter"):
             solver.max_iter = _int(cp.get("solver", "max_iter"), "solver", "max_iter")
             if solver.max_iter < 1:

@@ -185,6 +185,8 @@ def check_stopping_rule(tol: float, max_iter: int) -> None:
     """Refuse a stopping rule picard_solve could not run."""
     if not tol > 0.0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
+    if tol == math.inf:
+        raise InvalidInputError(f"tol must be finite, got {tol}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
 

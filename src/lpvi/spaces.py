@@ -9,7 +9,12 @@ valued and has the closed form
 
 with values measured in the dual norm |.|_q, 1/p + 1/q = 1. At p = 2 the
 formula collapses to the identity, which is how Hilbert-space results are
-recovered throughout the package.
+recovered throughout the package. The kernel takes that Hilbert case
+without norms or powers, but keeps the formula's floating-point bits: -0.0
+comes back as +0.0, and an entry that underflows when its row is rescaled
+by a power of two comes back rounded (below about 2^-1022 times the row
+max) or flushed to 0.0 (below about 2^-1074 times it), so
+J([1e300, 1e-300]) = [1e300, 0.0].
 
 Functionals are represented as plain vectors of coefficients; pairing(f, x)
 is the Euclidean dot product of the coefficient vectors.
@@ -105,10 +110,11 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
 def norm_rows(xs: np.ndarray, p: float) -> np.ndarray:
     """p-norm of each row of a 2-d array. Rows are scaled by their max
-    modulus before exponentiation so large entries do not overflow."""
+    modulus before exponentiation so large entries do not overflow. A row
+    that is not finite has a NaN norm."""
     mags = np.abs(np.asarray(xs, dtype=float))
     m = _row_max(mags)
-    zero = ~(m > 0.0)
+    zero = m == 0.0
     m[zero] = 1.0
     # in place from here on; `**=` keeps numpy's array power, whose last
     # bits a Python-scalar power would not reproduce
@@ -141,7 +147,8 @@ def pairing_rows(fs: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:
-    """Normalized duality map applied to each row of a 2-d array."""
+    """Normalized duality map applied to each row of a 2-d array. A row
+    that is not finite maps to a row that is not finite."""
     xs = np.asarray(xs, dtype=float)
     # J is homogeneous of degree 1, so each row is rescaled by an exact
     # power of two first; |x_i|^(p-1) and |x|^(2-p) can over/underflow
@@ -150,28 +157,35 @@ def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:
     _, e = np.frexp(m)
     e = np.where(m > 0.0, e, 0)
     scaled = np.ldexp(xs, -e[:, None])
-    norms = norm_rows(scaled, p)
-    nonzero = norms > 0.0
-    factor = np.ones_like(norms)
-    # 0 ** (2 - p) is inf for p > 2; zero rows are fixed to J(0) = 0 below
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor[nonzero] = norms[nonzero] ** (2.0 - p)
-        out = factor[:, None] * np.abs(scaled) ** (p - 1.0) * np.sign(scaled)
-    # above p of about 1100, |x|^(2-p) can overflow while |x_i|^(p-1)
-    # underflows. With m the row max and s = sum_i (|x_i| / m)^p, the same
-    # J(x)_i is m (|x_i| / m)^(p-1) s^(2/p - 1), whose factors stay in
-    # range; s^(2/p - 1) also keeps ties at the max right where
-    # |x| = m s^(1/p) rounds to m (p above about 1e16). Rows with a finite
-    # factor keep the formula above and its bits.
-    big = np.isinf(factor)
-    if big.any():
-        mags = np.abs(scaled[big])
-        m_big = _row_max(mags)[:, None]
-        t = mags / m_big
-        s = _row_sum(t ** p)[:, None]
-        out[big] = (m_big * t ** (p - 1.0) * s ** (2.0 / p - 1.0)
-                    * np.sign(scaled[big]))
-    out[~nonzero] = 0.0
+    zero = m == 0.0
+    if p == 2.0:
+        # Hilbert case, J = I, with the bits of the formula below: `+ 0.0`
+        # turns -0.0 into +0.0 as |s|^1 sign(s) does, and the rescaling
+        # round trip flushes entries that underflow next to their row max
+        out = scaled + 0.0
+    else:
+        norms = norm_rows(scaled, p)
+        factor = np.ones_like(norms)
+        # 0 ** (2 - p) is inf for p > 2; zero rows keep the factor 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor[~zero] = norms[~zero] ** (2.0 - p)
+            out = (factor[:, None] * np.abs(scaled) ** (p - 1.0)
+                   * np.sign(scaled))
+        # above p of about 1100, |x|^(2-p) can overflow while |x_i|^(p-1)
+        # underflows. With m the row max and s = sum_i (|x_i| / m)^p, the
+        # same J(x)_i is m (|x_i| / m)^(p-1) s^(2/p - 1), whose factors stay
+        # in range; s^(2/p - 1) also keeps ties at the max right where
+        # |x| = m s^(1/p) rounds to m (p above about 1e16). Rows with a
+        # finite factor keep the formula above and its bits.
+        big = np.isinf(factor)
+        if big.any():
+            mags = np.abs(scaled[big])
+            m_big = _row_max(mags)[:, None]
+            t = mags / m_big
+            s = _row_sum(t ** p)[:, None]
+            out[big] = (m_big * t ** (p - 1.0) * s ** (2.0 / p - 1.0)
+                        * np.sign(scaled[big]))
+    out[zero] = 0.0
     return np.ldexp(out, e[:, None])
 
 
@@ -179,8 +193,11 @@ def duality_map(x, p) -> np.ndarray:
     """Normalized duality map J(x) in (R^n, |.|_p).
 
     Satisfies pairing(J(x), x) = |x|_p^2 and |J(x)|_q = |x|_p with
-    q = p/(p-1). Exactly the identity when p = 2 (in floating point too:
-    the norm power is t**0.0 == 1.0 and |x|**1.0 * sign(x) == x).
+    q = p/(p-1). At p = 2 it returns x with two exceptions in floating
+    point, both those of the general formula: -0.0 becomes +0.0, and an
+    entry that underflows when its row is rescaled by a power of two loses
+    low bits or is flushed to 0.0 (duality_map([1e300, 1e-300], 2) is
+    [1e300, 0.0]).
     """
     x = as_vector(x)
     p = check_exponent(p)

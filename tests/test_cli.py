@@ -116,6 +116,26 @@ def test_solve_refused_stopping_rule_leaves_no_out_file(tmp_path, capsys,
     assert not out_csv.exists()
 
 
+def test_solve_refuses_an_infinite_tol(tmp_path, capsys):
+    # with tol = inf the first step would pass the stop test as "converged"
+    cfg = write(tmp_path, BOX_IDENTITY)
+    out_csv = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "solve", "--config", cfg, "--out",
+                         str(out_csv), "--tol", "inf")
+    assert code == 2 and out == ""
+    assert err == "error: tol must be finite, got inf\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_config_tol_inf_is_refused(tmp_path, capsys, command):
+    cfg = write(tmp_path, BOX_IDENTITY + "    tol = inf\n")
+    out_flag = ["--out", str(tmp_path / "t.csv")] if command == "solve" else []
+    code, out, err = run(capsys, command, "--config", cfg, *out_flag)
+    assert code == 2 and out == ""
+    assert err == "error: [solver] tol: must be finite\n"
+
+
 def test_solve_refuses_auto_step_from_inconsistent_certificate(tmp_path, capsys):
     bad = BOX_IDENTITY.replace("v = 1", "v = 10").replace("u = 0.1", "u = 1")
     cfg = write(tmp_path, bad)
@@ -467,6 +487,12 @@ def test_verify_fails_on_a_nan_row(capsys, monkeypatch, kernel, suite):
         pairs = list(zip(out.splitlines(), clean.splitlines(), strict=True))
         changed = [line for line, was in pairs if line != was]
         assert changed and all(line.endswith("FAIL") for line in changed)
+        # a NaN row has a NaN norm and a non-finite duality map
+        reached = {("retract_rows", "retraction"): ["box sunny deviation",
+                                                    "nonexpansiveness excess"],
+                   ("duality_map_rows", "duality"): ["duality homogeneity"]}
+        for name in reached.get((kernel, suite), []):
+            assert any(line.startswith(name) for line in changed), name
     else:
         # the duality and pairing suites retract nothing
         assert (kernel, code, out) == ("retract_rows", 0, clean)

@@ -228,6 +228,14 @@ def test_validation_of_solver_numbers(tmp_path):
         load_text(tmp_path, GOOD.replace("pairs = 500", "pairs = 0"))
 
 
+@pytest.mark.parametrize("tol, detail", [
+    ("inf", "must be finite"), ("nan", "must be positive"),
+    ("-inf", "must be positive")])
+def test_solver_tol_must_be_finite_and_positive(tmp_path, tol, detail):
+    with pytest.raises(ConfigError, match=rf"\[solver\] tol: {detail}"):
+        load_text(tmp_path, GOOD.replace("tol = 1e-11", f"tol = {tol}"))
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/prob.ini")

@@ -131,6 +131,52 @@ def test_row_kernels_match_axis_reductions_bit_for_bit(p, n):
                                  axis_pairing_rows(a, ys))
 
 
+@pytest.mark.parametrize("n", [*range(10, 65), 257, 1000])
+def test_hilbert_path_matches_the_general_formula_bit_for_bit(n):
+    # p = 2 skips the norms and powers; the bits must stay the formula's
+    rng = np.random.default_rng([n, 200])
+    for rows in (1, 3, 300):
+        xs = awkward_rows(rng, rows, n)
+        for a in (xs, np.asfortranarray(xs)):
+            assert same_bits(duality_map_rows(a, 2.0),
+                             axis_duality_map_rows(a, 2.0))
+
+
+@pytest.mark.parametrize("row, expected", [
+    ([1e300, 1e-300], [1e300, 0.0]),          # underflows when rescaled
+    ([-0.0, 1.0], [0.0, 1.0]),                # -0.0 comes back as +0.0
+    ([5e-324, -0.0], [5e-324, 0.0]),
+    ([1e308, -1e308], [1e308, -1e308]),
+    ([2.0 ** -1074, 2.0 ** -1060], [2.0 ** -1074, 2.0 ** -1060]),
+])
+def test_hilbert_path_edge_rows(row, expected):
+    xs = np.array([row])
+    got = duality_map_rows(xs, 2.0)
+    assert same_bits(got, axis_duality_map_rows(xs, 2.0))
+    assert same_bits(got, np.array([expected]))
+    assert same_bits(duality_map(row, 2), np.array(expected))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_rows_that_are_not_finite_stay_that_way(p):
+    rng = np.random.default_rng(int(p * 10))
+    for n in (1, 2, 9):
+        xs = rng.standard_normal((6, n))
+        xs[1, 0] = np.nan
+        xs[3, -1] = np.nan
+        xs[4] = np.nan
+        xs[5, 0] = np.inf
+        with np.errstate(invalid="ignore"):       # inf / inf in the scaling
+            norms = norm_rows(xs, p)
+            js = duality_map_rows(xs, p)
+        assert np.isnan(norms[[1, 3, 4, 5]]).all()
+        assert not np.isfinite(js[[1, 3, 4, 5]]).all(axis=1).any()
+        # the finite rows keep the bits they have on their own
+        clean = xs[[0, 2]]
+        assert same_bits(norms[[0, 2]], norm_rows(clean, p))
+        assert same_bits(js[[0, 2]], duality_map_rows(clean, p))
+
+
 def test_dual_exponent_values():
     assert dual_exponent(2) == 2.0
     assert dual_exponent(4) == pytest.approx(4.0 / 3.0, rel=1e-15)
