@@ -21,6 +21,7 @@ are identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -86,8 +87,7 @@ def _vec(x) -> list:
 
 def _write_trace(handle, trace):
     handle.write("iter,step_norm,residual\n")
-    for k, step, residual in trace:
-        handle.write(f"{k},{step:.17g},{residual:.17g}\n")
+    handle.write("".join(["%d,%.17g,%.17g\n" % row for row in trace]))
 
 
 def cmd_solve(args) -> int:
@@ -294,7 +294,7 @@ def cmd_oracle(args) -> int:
         "grid": list(counts),
         "searched": sol.searched,
         "spacing": _vec(sol.spacing),
-        "accepted": [_vec(row) for row in sol.accepted],
+        "accepted": np.asarray(sol.accepted, dtype=float).tolist(),
         "worst_pairings": _vec(sol.worst_pairings),
     }
     if sol.accepted.shape[0] == sol.searched:
@@ -330,7 +330,12 @@ def cmd_oracle(args) -> int:
     return 0 if agree else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and then reused:
+    each parse_args call fills a new namespace, and the repeatable --p
+    starts from a None default, so no parse sees an earlier one. It holds
+    no command functions; main looks those up on every call."""
     parser = argparse.ArgumentParser(
         prog="lpvi",
         description="variational inequalities on lp spaces:"
@@ -345,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="step size override (marks the run uncertified)")
     solve.add_argument("--tol", type=float, default=None)
     solve.add_argument("--max-iter", type=int, default=None)
-    solve.set_defaults(func=cmd_solve)
 
     check = sub.add_parser("check-map",
                            help="probe certificate claims on sample pairs")
@@ -353,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--count", type=int, default=None,
                        help="sample pair count override")
-    check.set_defaults(func=cmd_check_map)
 
     verify = sub.add_parser("verify", help="run a self-verification suite")
     verify.add_argument("suite",
@@ -362,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--count", type=int, default=None)
     verify.add_argument("--p", type=float, action="append", default=None,
                         help="exponent(s) to sweep; repeatable")
-    verify.set_defaults(func=cmd_verify)
 
     oracle = sub.add_parser("oracle",
                             help="brute-force grid check against the solver")
@@ -370,14 +372,15 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--grid", default=None,
                         help="points per axis, e.g. 41,41")
     oracle.add_argument("--lambda", dest="lam", type=float, default=None)
-    oracle.set_defaults(func=cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = {"solve": cmd_solve, "check-map": cmd_check_map,
+               "verify": cmd_verify, "oracle": cmd_oracle}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (UnsupportedSpaceError, UnsupportedRetractionError,
             UnsupportedOracleError) as exc:
         _err(exc)

@@ -100,18 +100,23 @@ def evaluate_rows(mapping, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_rows_unchecked(mapping, xs: np.ndarray) -> np.ndarray:
+def evaluate_rows_unchecked(mapping, xs: np.ndarray, *, out=None) -> np.ndarray:
     """B on each row of a float array, which may come out non-finite.
     Vectorized for affine chains, a row loop for black boxes; a black box
-    that raises or returns the wrong shape is an EvaluationError."""
+    that raises or returns the wrong shape is an EvaluationError. The rows
+    are written into out when it is given, and out is returned."""
     if isinstance(mapping, Affine):
-        return xs @ mapping.matrix.T + mapping.offset
+        out = np.matmul(xs, mapping.matrix.T, out=out)
+        out += mapping.offset
+        return out
     if isinstance(mapping, ResidualOfContraction):
         # xs minus a non-finite value is non-finite, so a check of this
         # result covers the inner map too
-        return xs - evaluate_rows_unchecked(mapping.inner, xs)
+        inner = evaluate_rows_unchecked(mapping.inner, xs, out=out)
+        return np.subtract(xs, inner, out=inner)
     if isinstance(mapping, BlackBox):
-        out = np.empty_like(xs)
+        if out is None:
+            out = np.empty_like(xs)
         for i, row in enumerate(xs):
             try:
                 value = np.asarray(mapping.func(row), dtype=float)

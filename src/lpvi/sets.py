@@ -162,25 +162,29 @@ def _sq_norms(xs: np.ndarray) -> np.ndarray:
     return (xs[:, None, :] @ xs[:, :, None])[:, 0, 0]
 
 
-def retract_rows(cset, xs: np.ndarray, p) -> np.ndarray:
+def retract_rows(cset, xs: np.ndarray, p, *, out=None) -> np.ndarray:
     """retract on each row of a 2-d array, without validation: callers
     check retraction_support(cset, p) once. Rows in C come back unchanged.
-    Row inner products use a batched matmul, which sums in np.dot's order."""
+    Row inner products use a batched matmul, which sums in np.dot's order.
+    The rows are written into out when it is given, and out is returned."""
     xs = np.asarray(xs, dtype=float)
     if isinstance(cset, WholeSpace):
-        return xs.copy()
+        return np.positive(xs, out=out)  # a copy, -0.0 and NaN included
     if isinstance(cset, Box):
-        return np.clip(xs, cset.lo, cset.hi)
+        # the method np.clip calls, so np.clip's bits, signed zeros included
+        return xs.clip(cset.lo, cset.hi, out=out)
     if isinstance(cset, Ball):
         # radius / max(|x|, radius) is exactly 1.0 inside the ball
         nrm = np.sqrt(_sq_norms(xs))
-        return (cset.radius / np.maximum(nrm, cset.radius))[:, None] * xs
+        return np.multiply((cset.radius / np.maximum(nrm, cset.radius))[:, None],
+                           xs, out=out)
     # halfspace: shift along the normal by the constraint violation
     a = cset.normal
     excess = (xs[:, None, :] @ a)[:, 0] - cset.offset
     over = ~(excess <= 0.0)
     shift = np.where(over, excess, 0.0) / np.dot(a, a)
-    return np.where(over[:, None], xs - shift[:, None] * a, xs)
+    out = np.positive(xs, out=out)
+    return np.subtract(xs, shift[:, None] * a, out=out, where=over[:, None])
 
 
 def retract(cset, x, p) -> np.ndarray:

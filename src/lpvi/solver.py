@@ -212,14 +212,17 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     trace so far. Trace rows are (iteration, step_norm, residual).
 
     Arguments are validated once, up front. The loop advances blocks of
-    1, 2, 4, ... iterates, at most K = _block_size(n), through the row
-    kernels into one buffer, then norms every step |x_j - x_{j+1}| and
-    size |x_j| of the block in one norm_rows call and settles the stop
-    tests and trace rows in order. norm_rows reduces rows apart (the one-row reduce at n >= 8,
-    an exact column fold below), so every number, the trace and the
-    final point have the bits of a loop that norms each iterate alone.
-    Each advance makes one finiteness check, on x - lam * Bx, which a
-    non-finite Bx always makes non-finite; Bx only names the failure.
+    1, 2, 4, ... iterates, at most K = _block_size(n), into one buffer,
+    then norms every step |x_j - x_{j+1}| and size |x_j| of the block in
+    one norm_rows call and settles the stop tests and trace rows in
+    order. norm_rows reduces rows apart (the one-row reduce at n >= 8, an
+    exact column fold below), so every number, the trace and the final
+    point have the bits of a loop that norms each iterate alone.
+    An advance writes Bx, then x - lam * Bx, into two preallocated rows
+    through the row kernels' and ufuncs' out= arguments, and retracts
+    straight into the next buffer row; a box clamp has np.clip's bits.
+    It makes one finiteness check, on x - lam * Bx, which a non-finite
+    Bx always makes non-finite; Bx only names the failure.
 
     A block may advance past the stop, by fewer iterates than came
     before it and at most K - 1; they are dropped, though a black-box
@@ -237,20 +240,24 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     xs = np.empty((block + 1, n))    # x_j, then the block's new iterates
     pairs = np.empty((2 * block, n))  # the block's steps, then its sizes
     rows = [xs[i:i + 1] for i in range(block + 1)]
+    bx, image = np.empty((1, n)), np.empty((1, n))   # Bx and x - lam * Bx
+    finite = np.empty((1, n), dtype=bool)
     trace: list[tuple[int, float, float]] = []
 
     def advance(x, out):
         """Write G(x) into out, for one-row arrays."""
         try:
-            bx = evaluate_rows_unchecked(mapping, x)
+            evaluate_rows_unchecked(mapping, x, out=bx)
         except EvaluationError as exc:
             raise DivergenceError(str(exc)) from exc
-        image = x - lam * bx
-        if not np.isfinite(image).all():
+        np.multiply(bx, lam, out=image)
+        np.subtract(x, image, out=image)
+        # counted rather than .all(), which goes through a Python wrapper
+        if np.count_nonzero(np.isfinite(image, out=finite)) < n:
             raise DivergenceError(
                 "iterate became non-finite" if np.isfinite(bx).all()
                 else "mapping produced non-finite output")
-        out[...] = retract_rows(cset, image, p)
+        retract_rows(cset, image, p, out=out)
 
     def orbit():
         """(x_j, |x_j - x_{j+1}|, |x_j|) for j = 0 to max_iter, computed a

@@ -111,11 +111,14 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 def norm_rows(xs: np.ndarray, p: float) -> np.ndarray:
     """p-norm of each row of a 2-d array. Rows are scaled by their max
     modulus before exponentiation so large entries do not overflow. A row
-    that is not finite has a NaN norm."""
+    with a NaN has a NaN norm, and any other row with an infinite entry
+    has norm inf."""
     mags = np.abs(np.asarray(xs, dtype=float))
     m = _row_max(mags)
     zero = m == 0.0
-    m[zero] = 1.0
+    # zero and infinite rows go unscaled: their sums are 0 and inf as they
+    # stand, while inf / inf would be NaN (a NaN row keeps its NaN max)
+    m[zero | (m == math.inf)] = 1.0
     # in place from here on; `**=` keeps numpy's array power, whose last
     # bits a Python-scalar power would not reproduce
     mags /= m[:, None]
@@ -176,8 +179,9 @@ def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:
         # same J(x)_i is m (|x_i| / m)^(p-1) s^(2/p - 1), whose factors stay
         # in range; s^(2/p - 1) also keeps ties at the max right where
         # |x| = m s^(1/p) rounds to m (p above about 1e16). Rows with a
-        # finite factor keep the formula above and its bits.
-        big = np.isinf(factor)
+        # finite factor keep the formula above and its bits; so do infinite
+        # rows (norm inf), which come out of it not finite.
+        big = np.isinf(factor) & np.isfinite(norms)
         if big.any():
             mags = np.abs(scaled[big])
             m_big = _row_max(mags)[:, None]

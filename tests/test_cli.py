@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,11 @@ import numpy as np
 import pytest
 
 import lpvi
-from lpvi.cli import main
+from lpvi.cli import _build_parser, _vec, _write_trace, main
+from lpvi.config import load_config
+from lpvi.errors import DivergenceError
+from lpvi.oracle import GridSpec, grid_vi_solve
+from lpvi.solver import picard_solve
 
 BOX_IDENTITY = """
     [space]
@@ -525,3 +531,85 @@ def test_verify_pairing_needs_two_pairs(capsys):
     assert "pairs >= 2" in err and "Traceback" not in err
     code, out, _ = run(capsys, "verify", "pairing", "--count", "2")
     assert code == 0 and len(out.splitlines()) == 9
+
+
+def test_parser_is_built_once_and_reused():
+    assert _build_parser() is _build_parser()
+
+
+def test_main_calls_the_command_functions_bound_now(monkeypatch):
+    # the cached parser holds no handlers, so a rebinding made after it
+    # was built (a test double, a tracing wrapper) still takes effect
+    _build_parser()
+    monkeypatch.setattr(lpvi.cli, "cmd_verify", lambda args: 7)
+    assert main(["verify", "factor"]) == 7
+
+
+def test_repeated_parses_share_no_state(capsys):
+    # a repeatable --p in one call must not carry over into the next
+    code, out, _ = run(capsys, "verify", "pairing", "--p", "3", "--count", "50")
+    assert code == 0 and len(out.splitlines()) == 3
+    code, out, _ = run(capsys, "verify", "pairing", "--count", "50")
+    assert code == 0 and len(out.splitlines()) == 9
+
+
+def test_a_parse_error_leaves_the_parser_usable(tmp_path, capsys):
+    out_csv = str(tmp_path / "t.csv")
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--out", out_csv])
+    assert info.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    code, out, err = run(capsys, "solve", "--config",
+                         write(tmp_path, BOX_IDENTITY), "--out", out_csv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] == "converged"
+
+
+def _trace_text(trace):
+    # the per-row formatting the trace CSV has always had
+    return "iter,step_norm,residual\n" + "".join(
+        f"{k},{step:.17g},{residual:.17g}\n" for k, step, residual in trace)
+
+
+def test_trace_csv_bytes_at_special_values():
+    trace = [(1, 0.1, 1e-300), (2, -0.0, math.inf), (3, math.nan, 5e-324),
+             (10 ** 6, 1.0 / 3.0, 2.0 ** 70), (7, 0.0, -math.inf)]
+    handle = io.StringIO()
+    _write_trace(handle, trace)
+    assert handle.getvalue() == _trace_text(trace)
+    handle = io.StringIO()
+    _write_trace(handle, [])
+    assert handle.getvalue() == _trace_text([])
+
+
+def test_divergent_solve_writes_the_partial_trace_bytes(tmp_path, capsys):
+    cfg = write(tmp_path, """
+        [space]
+        n = 2
+        p = 3
+        [set]
+        kind = whole_space
+        [map]
+        kind = affine
+        matrix = -1 0 0 -1
+        [solver]
+        x0 = 1 -0.5
+        lambda = 1
+    """)
+    out_csv = tmp_path / "t.csv"
+    code, _, _ = run(capsys, "solve", "--config", cfg, "--out", str(out_csv))
+    assert code == 4
+    loaded = load_config(cfg)
+    with pytest.raises(DivergenceError) as info:
+        picard_solve(loaded.problem, 1.0, loaded.solver.x0)
+    assert len(info.value.trace) > 1000
+    assert out_csv.read_bytes() == _trace_text(info.value.trace).encode()
+
+
+def test_oracle_accepted_rows_print_as_floats(tmp_path, capsys):
+    cfg = write(tmp_path, BOX_IDENTITY)
+    _, out, _ = run(capsys, "oracle", "--config", cfg, "--grid", "21,21")
+    sol = grid_vi_solve(load_config(cfg).problem, GridSpec((21, 21)))
+    rows = json.dumps([[float(v) for v in row] for row in sol.accepted])
+    assert f'"accepted": {rows}' in out
+    assert json.dumps(_vec(np.array([1, 2]))) == "[1.0, 2.0]"

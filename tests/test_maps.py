@@ -6,7 +6,7 @@ from lpvi import (Affine, BlackBox, Box, Certificate, EstimationError,
                   ResidualOfContraction, ShapeError, WholeSpace,
                   certificate_feasibility, check_relaxed_cocoercive,
                   check_strongly_monotone, estimate_lipschitz, evaluate)
-from lpvi.maps import evaluate_rows
+from lpvi.maps import evaluate_rows, evaluate_rows_unchecked
 from lpvi.spaces import p_norm
 
 BOX = Box([-1.0, -1.0], [1.0, 1.0])
@@ -212,3 +212,21 @@ def test_strict_verdict_never_fires_on_random_certificates():
     for u, v, mu in raw:
         rep = certificate_feasibility(Certificate(u, v, mu))
         assert rep.verdict is not Feasibility.STRICT
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 100])
+def test_evaluate_rows_unchecked_into_out_has_the_fresh_bits(n):
+    rng = np.random.default_rng(n)
+    affine = Affine(rng.standard_normal((n, n)), rng.standard_normal(n))
+    maps = [affine, ResidualOfContraction(affine, 0.5),
+            BlackBox(lambda x: np.tanh(x) - 0.5, n)]
+    xs = rng.standard_normal((3, n))
+    for mapping in maps:
+        # one row and three run different BLAS calls, so each has its own bits
+        for k in (1, 3):
+            want = evaluate_rows_unchecked(mapping, xs[:k])
+            buf = np.full((k + 2, n), np.nan)
+            got = evaluate_rows_unchecked(mapping, xs[:k], out=buf[1:-1])
+            assert got.base is buf
+            assert got.tobytes() == want.tobytes()
+            assert np.isnan(buf[[0, -1]]).all()

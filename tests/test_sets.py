@@ -270,3 +270,42 @@ def test_sample_gives_up_when_region_misses_the_set():
     ball = Ball(2, 1.0)
     with pytest.raises(InvalidInputError):
         sample_in_set(ball, 1, seed=0, bounds=([5.0, 5.0], [6.0, 6.0]))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("rows", [1, 3, 17])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_box_clamp_has_np_clip_bits_at_signed_zeros_and_nan(n, rows, order):
+    # bounds of +-0.0 against inputs of -+0.0: which zero np.clip returns
+    # depends on its loop (numpy's widths and layouts), so compare bits,
+    # NaN rows included
+    lo = np.array([0.0, -0.0, -1.0, 0.0, -0.0, -0.0])[:n]
+    hi = np.array([1.0, 0.0, -0.0, 0.0, -0.0, 0.0])[:n]
+    box = Box(lo, hi)
+    rng = np.random.default_rng(10 * n + rows)
+    values = np.array([0.0, -0.0, 2.0, -2.0, 0.5, np.inf, -np.inf, np.nan])
+    xs = rng.choice(values, (rows, n))
+    xs[0] = np.nan
+    xs[-1] = -0.0
+    xs = np.asarray(xs, order=order)
+    want = np.clip(xs, lo, hi)
+    assert np.array_equal(_bits(retract_rows(box, xs, 2.0)), _bits(want))
+    out = np.empty_like(xs)
+    assert retract_rows(box, xs, 2.0, out=out) is out
+    assert np.array_equal(_bits(out), _bits(want))
+
+
+@pytest.mark.parametrize("cset", [WholeSpace(2), Box([-0.0, 0.0], [1.0, 1.0]),
+                                  Ball(2, 1.0), Halfspace([-1.0, 2.0], 1.0)])
+def test_retract_rows_into_out_matches_a_fresh_result(cset):
+    xs = np.array([[-0.0, 0.0], [3.0, 2.0], [-1.0, 0.0], [-5.0, 0.0],
+                   [0.6, -0.8], [3.0, 4.0]])
+    buf = np.full((xs.shape[0] + 2, 2), 7.0)
+    got = retract_rows(cset, xs, 2.0, out=buf[1:-1])
+    assert got.base is buf
+    assert np.array_equal(_bits(got), _bits(retract_rows(cset, xs, 2.0)))
+    assert (buf[[0, -1]] == 7.0).all()

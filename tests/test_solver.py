@@ -561,3 +561,18 @@ def test_picard_matches_the_reference_across_widths(n, p):
     assert rep.iterations > 2 * block + 1
     # a fresh array, not a view into the loop's buffer
     assert rep.final_point.base is None
+
+
+@pytest.mark.parametrize("lo", [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0]])
+def test_picard_through_signed_zeros_matches_the_reference(lo):
+    # x <- clip(x - 0.25) from 1 meets the bounds of +-0.0 with images of
+    # +0.0, then -0.25: the clamp decides the sign of each zero it returns
+    n = len(lo)
+    prob = Problem(SpaceSpec(n, 1.5), Box(lo, [1.0] * n),
+                   Affine(np.zeros((n, n)), [0.25] * n))
+    point = reference_picard_solve(prob, 1.0, [1.0] * n, max_iter=100)[0]
+    assert (point == 0.0).all()
+    for x0 in ([1.0] * n, lo, [-0.0] * n):
+        rep = assert_matches_reference(lambda: prob, 1.0, x0, tol=1e-10,
+                                       max_iter=100)
+        assert rep.status is SolveStatus.CONVERGED

@@ -166,15 +166,37 @@ def test_rows_that_are_not_finite_stay_that_way(p):
         xs[3, -1] = np.nan
         xs[4] = np.nan
         xs[5, 0] = np.inf
-        with np.errstate(invalid="ignore"):       # inf / inf in the scaling
-            norms = norm_rows(xs, p)
-            js = duality_map_rows(xs, p)
-        assert np.isnan(norms[[1, 3, 4, 5]]).all()
+        norms = norm_rows(xs, p)
+        js = duality_map_rows(xs, p)
+        assert np.isnan(norms[[1, 3, 4]]).all() and norms[5] == np.inf
         assert not np.isfinite(js[[1, 3, 4, 5]]).all(axis=1).any()
         # the finite rows keep the bits they have on their own
         clean = xs[[0, 2]]
         assert same_bits(norms[[0, 2]], norm_rows(clean, p))
         assert same_bits(js[[0, 2]], duality_map_rows(clean, p))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 2000.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 100])
+def test_infinite_rows_have_norm_inf_without_warnings(n, p):
+    xs = np.ones((6, n))
+    xs[0, 0] = np.inf
+    xs[1, -1] = -np.inf
+    xs[2] = -np.inf
+    xs[3, -1] = np.inf
+    xs[3, 0] = np.nan            # NaN wins over inf
+    xs[4, -1] = np.nan
+    xs[5, 0] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (xs, np.asfortranarray(xs)):
+            norms = norm_rows(a, p)
+            js = duality_map_rows(a, p)
+            assert (norms[:3] == np.inf).all() and np.isnan(norms[3:5]).all()
+            assert not np.isfinite(js[:5]).all(axis=1).any()
+            # the finite row keeps the bits it has on its own
+            assert same_bits(norms[5:], norm_rows(xs[5:], p))
+            assert same_bits(js[5:], duality_map_rows(xs[5:], p))
 
 
 def test_dual_exponent_values():
