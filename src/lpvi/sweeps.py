@@ -83,12 +83,14 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
                     max, report.worst_hilbert or 0.0, np.max(np.abs(js - xs)))
             # Hoelder bound <f, x> <= |f|_q |x|_p, spot-checked on random
             # unit functionals, with equality attained by Jx / |x|_p
-            probe = xs[nx > 0.0][:16]
+            nonzero = nx > 0.0
+            probe = xs[nonzero][:16]
             if probe.shape[0]:
-                pn = norm_rows(probe, p)
+                pn = nx[nonzero][:16]
                 fs = rng.standard_normal(size=(64, probe.shape[1]))
-                fs = fs[norm_rows(fs, q) > 0.0]
-                fs /= norm_rows(fs, q)[:, None]
+                nf = norm_rows(fs, q)
+                keep = nf > 0.0
+                fs = fs[keep] / nf[keep][:, None]
                 vals = fs @ probe.T  # (functionals, probe points)
                 report.worst_bound_excess = _worst(
                     max, report.worst_bound_excess,
@@ -162,15 +164,15 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
         else:
             rep.max_hilbert_sunny_dev = _worst(max, rep.max_hilbert_sunny_dev,
                                                dev)
-        excess = norm_rows(qxs - qys, p) - norm_rows(xs - ys, p)
+        dq, dx = qxs - qys, xs - ys
+        nq, nd = norm_rows(dq, p), norm_rows(dx, p)
         rep.max_nonexpansive_excess = _worst(max, rep.max_nonexpansive_excess,
-                                             np.max(excess))
+                                             np.max(nq - nd))
         if p == 2.0:
-            gap = (pairing_rows(xs - ys, qxs - qys)
-                   - norm_rows(qxs - qys, 2.0) ** 2)
+            gap = pairing_rows(dx, dq) - nq ** 2
             rep.min_projection_inequality = _worst(
                 min, rep.min_projection_inequality,
-                np.min(gap / (1.0 + norm_rows(xs - ys, 2.0) ** 2)))
+                np.min(gap / (1.0 + nd ** 2)))
 
     for p in p_values:
         for n in (2, 3, 7):

@@ -1,8 +1,13 @@
 import textwrap
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lpvi import config
 from lpvi import (Ball, Box, ConfigError, Halfspace, ResidualOfContraction,
                   UnsupportedRetractionError, UnsupportedSpaceError,
                   WholeSpace)
@@ -264,3 +269,196 @@ def test_bad_number_token_names_the_value(tmp_path, token):
 def test_empty_number_list(tmp_path):
     with pytest.raises(ConfigError, match=r"\[map\] offset: value is empty"):
         load_text(tmp_path, GOOD.replace("offset = -1.5 -1.25", "offset ="))
+
+
+# Large values go through numpy's C text reader (config._c_reader_floats);
+# everything below checks that reader against the token path it replaces,
+# np.array(text.split(), dtype=float), which reads each token as Python's
+# float does.
+def reference_floats(text):
+    return np.array(text.split(), dtype=float)
+
+
+def reference_message(text):
+    try:
+        vals = reference_floats(text)
+    except ValueError:
+        return f"[map] matrix: could not parse numbers from {text!r}"
+    return None if vals.size else "[map] matrix: value is empty"
+
+
+def rows_text(rows, sep="\n    "):
+    return sep.join(" ".join(map(repr, row))
+                    for row in np.asarray(rows, dtype=float).tolist())
+
+
+def test_c_reader_gates():
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((40, 40))
+    big = rows_text(dense)
+    assert len(big) >= config._C_READER_MIN_CHARS
+    vals = config._c_reader_floats(big)
+    assert vals is not None
+    assert np.array_equal(vals.view(np.int64),
+                          reference_floats(big).view(np.int64))
+    padded = "\n" + big + "\n  \n"  # blank first and last lines
+    assert np.array_equal(config._c_reader_floats(padded), vals)
+    # small, one-line, few-line and blank values stay on the token path
+    assert config._c_reader_floats(rows_text(dense[:4])) is None
+    assert config._c_reader_floats(rows_text(dense, sep=" ")) is None
+    assert config._c_reader_floats(rows_text(np.tile(dense, 4)[:8])) is None
+    one_long = rows_text([np.tile(dense[0], 40)]) + "\n1" * 20
+    assert config._c_reader_floats(one_long) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blank = "\n".join([" " * 2000] * 20)
+        assert config._c_reader_floats(blank) is None
+        with pytest.raises(ConfigError, match=r"\[map\] matrix: value is empty"):
+            _floats(blank, "map", "matrix")
+
+
+def test_a_short_last_line_goes_to_the_token_path_unread(monkeypatch):
+    flat = np.random.default_rng(6).standard_normal(40 * 40).tolist()
+    text = "\n" + "\n".join(" ".join(map(repr, flat[i:i + 7]))
+                           for i in range(0, len(flat), 7)) + "\n"
+    assert len(text) >= config._C_READER_MIN_CHARS
+    assert len(flat) % 7  # ragged at the end only
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the C reader ran on a ragged value")
+
+    monkeypatch.setattr(config.np, "loadtxt", unreachable)
+    assert config._c_reader_floats(text) is None
+    assert np.array_equal(_floats(text, "map", "matrix").view(np.int64),
+                          np.array(flat).view(np.int64))
+
+
+FILLER = " ".join(["1.25"] * 260)  # 16 lines of it pass the size gate
+
+SEPARATORS = [" ", "  ", "\t", "\xa0", "\u2003", "\x0b", "\x0c", " \t ",
+              "\r"]
+SPELLINGS = ["inf", "-inf", "+inf", "Infinity", "-INFINITY", "iNf", "nan",
+             "-nan", "+NaN", "NAN", "1e308", "1.8e308", "-1e-330",
+             "2.2250738585072011e-308", "4.9406564584124654e-324"]
+BAD_TOKENS = ["1,2", "0x1p3", "1__0", "1e", "nan(1)", "1\x002", "--1", "e5",
+              "1.2.3", "infinit", "\ud800", "\u0663x", "#1", "1#2"]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+long_digits = st.builds(
+    "{}{}.{}e{}".format, st.sampled_from(["", "-", "+"]),
+    st.integers(10 ** 17, 10 ** 40), st.integers(0, 10 ** 30),
+    st.integers(-400, 400))
+number_tokens = st.one_of(
+    st.floats().map(repr),
+    finite.map(lambda v: "%.17g" % v),
+    finite.map(lambda v: "%.3e" % v),
+    st.floats(min_value=-2.2250738585072014e-308,
+              max_value=2.2250738585072014e-308).map(repr),
+    st.integers(10 ** 17, 10 ** 40).map(str),
+    long_digits,
+    st.sampled_from(SPELLINGS),
+)
+# NUMBER_TOKENS holds spellings only Python's float reads (`1_0`, `١٢`)
+ODD_TOKENS = NUMBER_TOKENS + BAD_TOKENS
+
+
+@st.composite
+def number_values(draw):
+    """Number lists of one to 24 lines, padded past the C reader's gates
+    unless `small` is drawn, with odd separators, and at times a blank
+    line, a ragged line or an odd token."""
+    rows = draw(st.one_of(st.integers(16, 24), st.integers(1, 15)))
+    width = draw(st.integers(0, 3))
+    cells = draw(st.lists(number_tokens, min_size=rows * width,
+                          max_size=rows * width))
+    lines = [cells[i * width:(i + 1) * width] for i in range(rows)]
+    if draw(st.integers(0, 3)) == 0:
+        row = draw(st.integers(0, rows - 1))
+        lines[row] = lines[row][:-1]  # ragged
+    if draw(st.integers(0, 3)) == 0:
+        lines[draw(st.integers(0, rows - 1))].append(
+            draw(st.sampled_from(ODD_TOKENS)))
+    sep = draw(st.sampled_from(SEPARATORS))
+    small = draw(st.integers(0, 4)) == 0
+    texts = [sep.join(line) if small
+             else sep.join([FILLER] + line) for line in lines]
+    if draw(st.integers(0, 3)) == 0:
+        texts.insert(draw(st.integers(0, rows)),
+                     draw(st.sampled_from(["", "   ", "\t"])))
+    return draw(st.sampled_from(["\n", "\n    ", "\n\t"])).join(texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(number_values())
+def test_floats_match_the_token_path_bit_for_bit(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = reference_message(text)
+        if expected is not None:
+            with pytest.raises(ConfigError) as info:
+                _floats(text, "map", "matrix")
+            assert str(info.value) == expected
+            return
+        vals = _floats(text, "map", "matrix")
+    ref = reference_floats(text)
+    assert vals.dtype == np.float64 and vals.shape == ref.shape
+    assert np.array_equal(vals.view(np.int64), ref.view(np.int64))
+
+
+def test_the_fast_path_takes_every_number_spelling():
+    tokens = NUMBER_TOKENS[1:13] + SPELLINGS + ["1" * 40, "-" + "9" * 30]
+    text = "\n    ".join(FILLER + " " + " ".join(tokens) for _ in range(20))
+    vals = config._c_reader_floats(text)
+    assert vals is not None
+    assert np.array_equal(vals.view(np.int64),
+                          reference_floats(text).view(np.int64))
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_odd_tokens_past_the_gate_read_as_on_the_token_path(token):
+    text = "\n    ".join(FILLER + " " + token for _ in range(20))
+    expected = reference_message(text)
+    if expected is None:
+        vals = _floats(text, "map", "matrix")
+        assert np.array_equal(vals.view(np.int64),
+                              reference_floats(text).view(np.int64))
+    else:
+        with pytest.raises(ConfigError) as info:
+            _floats(text, "map", "matrix")
+        assert str(info.value) == expected
+
+
+def traced_peak(path):
+    tracemalloc.start()
+    try:
+        load_config(str(path))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sep", ["\n    ", " "], ids=["row-per-line", "one-line"])
+def test_load_config_peak_memory_stays_below_the_token_path(tmp_path,
+                                                            monkeypatch, sep):
+    n = 300
+    matrix = np.random.default_rng(8).standard_normal((n, n))
+    path = tmp_path / "dense.ini"
+    path.write_text(textwrap.dedent(f"""\
+        [space]
+        n = {n}
+        p = 2
+        [set]
+        kind = whole_space
+        [map]
+        kind = affine
+        matrix = """) + rows_text(matrix, sep) + "\n")
+    peak = traced_peak(path)
+    loaded = load_config(str(path)).problem.mapping.matrix
+    assert np.array_equal(loaded.view(np.int64), matrix.view(np.int64))
+    monkeypatch.setattr(config, "_c_reader_floats", lambda text: None)
+    token_peak = traced_peak(path)
+    if sep == " ":
+        # gated off, so the same path: equal up to a few KB of allocator
+        # noise, where the C reader on this line would add megabytes
+        assert peak < token_peak + 64 * 1024
+    else:  # no Python string per number
+        assert peak < token_peak / 2
