@@ -16,15 +16,15 @@ from .maps import (Affine, BlackBox, Certificate, Feasibility,
                    estimate_lipschitz, evaluate)
 from .oracle import (GridSolution, GridSpec, PairingSweep,
                      check_pairing_inequality, grid_bounds, grid_vi_solve,
-                     hilbert_rule_factor, pairing_inequality_sweep)
+                     pairing_inequality_sweep)
 from .sets import (Ball, Box, ConvexSet, Halfspace, RetractionMode,
-                   RetractionSupport, WholeSpace, contains, retract,
-                   retraction_support, sample_in_set, verify_characterization,
-                   verify_sunny)
+                   RetractionSupport, WholeSpace, bounding_box, contains,
+                   retract, retraction_support, sample_in_set,
+                   verify_characterization, verify_sunny)
 from .solver import (Certification, Problem, SolveReport, SolveStatus,
                      contraction_factor_sq, hilbert_factor_sq,
-                     hilbert_step_interval, picard_solve, select_lambda,
-                     solve, strict_step_intervals, vi_residual)
+                     hilbert_rule_factor, hilbert_step_interval, picard_solve,
+                     select_lambda, solve, strict_step_intervals, vi_residual)
 from .spaces import (SpaceSpec, dual_exponent, duality_map, p_norm, pairing)
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ Exit codes:
   2  configuration problem (malformed config or flags, inconsistent
      certificate, unusable sampling region, grid over the oracle's work
      caps or with no point inside the set, unwritable --out, nonpositive
-     tol or max_iter)
+     or infinite tol, nonpositive max_iter)
   3  iteration limit reached before convergence
   4  divergence (non-finite iterates)
   5  unsupported space / set / oracle combination
@@ -37,10 +37,10 @@ from .maps import (Feasibility, certificate_feasibility,
                    check_relaxed_cocoercive, check_strongly_monotone,
                    estimate_lipschitz)
 from .oracle import (GridSpec, grid_bounds, grid_vi_solve,
-                     hilbert_rule_factor, pairing_inequality_sweep)
-from .sets import Ball, Box
-from .solver import (SolveStatus, check_stopping_rule, picard_solve,
-                     select_lambda)
+                     pairing_inequality_sweep)
+from .sets import bounding_box
+from .solver import (SolveStatus, check_stopping_rule, hilbert_rule_factor,
+                     picard_solve, select_lambda, solve)
 from .sweeps import duality_sweep, retraction_suite
 
 _ENV_SEED = "LPVI_SEED"
@@ -136,7 +136,7 @@ def cmd_check_map(args) -> int:
     problem = cfg.problem
     seed = _seed_of(args, cfg.check.seed)
     pairs = args.count if args.count is not None else cfg.check.pairs
-    if cfg.check.bounds is None and not isinstance(problem.cset, (Box, Ball)):
+    if cfg.check.bounds is None and bounding_box(problem.cset) is None:
         raise EstimationError(
             "set is unbounded: add [check] bounds_lo / bounds_hi to sample it")
     common = dict(region=problem.cset, p=problem.space.p, sample_pairs=pairs,
@@ -306,12 +306,10 @@ def cmd_oracle(args) -> int:
         _emit(record)
         return 1
     lam = args.lam if args.lam is not None else cfg.solver.lam
-    chosen, certification = select_lambda(problem, lam)
     lo, hi = grid_bounds(problem.cset)
     x0 = cfg.solver.x0 if cfg.solver.x0 is not None else (lo + hi) / 2.0
-    report = picard_solve(problem, chosen, x0, tol=cfg.solver.tol,
-                          max_iter=cfg.solver.max_iter,
-                          certification=certification)
+    report = solve(problem, x0, lam, tol=cfg.solver.tol,
+                   max_iter=cfg.solver.max_iter)
     answer = report.final_point
     dists = np.max(np.abs(sol.accepted - answer), axis=1)
     h = float(np.max(sol.spacing))

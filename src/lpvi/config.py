@@ -58,10 +58,11 @@ from .sets import Ball, Box, ConvexSet, Halfspace, WholeSpace
 from .solver import Problem
 from .spaces import SpaceSpec
 
+# allowed keys per section; _SET_KEYS and _MAP_KEYS decide [set] and [map]
 _SECTIONS = {
     "space": {"n", "p"},
-    "set": {"kind", "lo", "hi", "radius", "normal", "offset"},
-    "map": {"kind", "matrix", "offset", "alpha", "t_matrix", "t_offset"},
+    "set": None,
+    "map": None,
     "certificate": {"u", "v", "mu"},
     "solver": {"x0", "lambda", "tol", "max_iter"},
     "check": {"pairs", "seed", "bounds_lo", "bounds_hi"},

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EstimationError, EvaluationError, InvalidInputError, ShapeError
-from .sets import Ball, Box, sample_in_set
+from .sets import bounding_box, sample_in_set
 from .spaces import as_vector, check_exponent, duality_map_rows, norm_rows
 
 
@@ -133,7 +133,7 @@ def evaluate_rows_unchecked(mapping, xs: np.ndarray, *, out=None) -> np.ndarray:
 def _sample_pairs(region, pairs: int, seed: int, bounds):
     if pairs < 1:
         raise InvalidInputError(f"sample_pairs must be >= 1, got {pairs}")
-    if bounds is None and not isinstance(region, (Box, Ball)):
+    if bounds is None and bounding_box(region) is None:
         raise EstimationError(
             "region is unbounded: supply a bounds box for sampling")
     pts = sample_in_set(region, 2 * pairs, seed, bounds=bounds)
@@ -290,15 +290,13 @@ def certificate_feasibility(cert: Certificate) -> FeasibilityReport:
     gives v |x-y|^2 <= mu |x-y|^2 + u mu^2 |x-y|^2. A certificate above
     that line claims constants no mapping can realize. Together the two
     conditions would force 5 mu < mu, impossible for mu > 0, so the
-    strict verdict can never coexist with a consistent certificate.
+    strict verdict can never coexist with a consistent certificate. That
+    holds in floating point too: rounding is monotone, so
+    v > fl(u mu^2 + 5 mu) >= fl(u mu^2 + mu) makes v inconsistent.
     """
     u, v, mu = cert.u, cert.v, cert.mu
     strict = v > u * mu * mu + 5.0 * mu
     consistent = v <= mu + u * mu * mu
-    if strict and consistent:
-        raise AssertionError(
-            "unreachable: strict step condition together with the"
-            " consistency bound forces 5*mu < mu")
     if not consistent:
         verdict = Feasibility.INCONSISTENT
     elif v > u * mu * mu:

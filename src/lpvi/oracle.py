@@ -34,10 +34,10 @@ import numpy as np
 
 from .errors import InvalidInputError, ResourceError, ShapeError, UnsupportedOracleError
 from .maps import evaluate_rows
-from .sets import Ball, Box, members_mask
+from .sets import bounding_box, members_mask
 from .solver import Problem
-from .spaces import (as_vector, check_exponent, duality_map, duality_map_rows,
-                     norm_rows, p_norm, pairing, pairing_rows)
+from .spaces import (as_vector, check_exponent, duality_map_rows, norm_rows,
+                     pairing_rows)
 
 MAX_GRID_DIM = 3
 MAX_SCREEN_PAIRS = 20_000_000_000
@@ -90,14 +90,12 @@ class GridSolution:
 
 def grid_bounds(cset) -> tuple[np.ndarray, np.ndarray]:
     """Bounding box of a bounded set; the oracle refuses anything else."""
-    if isinstance(cset, Box):
-        return cset.lo.copy(), cset.hi.copy()
-    if isinstance(cset, Ball):
-        return (np.full(cset.dim, -cset.radius),
-                np.full(cset.dim, cset.radius))
-    raise UnsupportedOracleError(
-        f"grid oracle needs a bounded set (Box or Ball),"
-        f" got {type(cset).__name__}")
+    box = bounding_box(cset)
+    if box is None:
+        raise UnsupportedOracleError(
+            f"grid oracle needs a bounded set (Box or Ball),"
+            f" got {type(cset).__name__}")
+    return box
 
 
 def _screen(inside: np.ndarray, images: np.ndarray, floors: np.ndarray,
@@ -177,6 +175,18 @@ def grid_vi_solve(problem: Problem, grid: GridSpec,
     )
 
 
+def _pairing_slack_rows(xs: np.ndarray, ys: np.ndarray, p: float):
+    """Slack of the pairing inequality for each row pair, with |x| and |y|."""
+    d = xs - ys
+    cross = pairing_rows(duality_map_rows(xs, p) - duality_map_rows(ys, p), d)
+    rhs = pairing_rows(duality_map_rows(d, p), d)
+    # the norms come after the (pairs, n) temporaries above are freed, so
+    # they do not add to a sweep's peak memory
+    nx = norm_rows(xs, p)
+    ny = norm_rows(ys, p)
+    return (cross + 4.0 * nx * ny) - rhs, nx, ny
+
+
 def check_pairing_inequality(x, y, p) -> float:
     """Slack of <x - y, Jx - Jy> + 4 |x| |y| >= <x - y, J(x - y)>.
 
@@ -187,10 +197,7 @@ def check_pairing_inequality(x, y, p) -> float:
     p = check_exponent(p)
     x = as_vector(x)
     y = as_vector(y, dim=x.shape[0], name="y")
-    d = x - y
-    lhs = pairing(duality_map(x, p) - duality_map(y, p), d) \
-        + 4.0 * p_norm(x, p) * p_norm(y, p)
-    return lhs - pairing(duality_map(d, p), d)
+    return float(_pairing_slack_rows(x[None, :], y[None, :], p)[0][0])
 
 
 @dataclass(eq=False)
@@ -202,16 +209,15 @@ class PairingSweep:
     pinned_slack: float         # slack of the pair with x = 0: exactly 0 iff J(0) = 0
 
 
-def pairing_inequality_sweep(p, n: int, pairs: int, seed: int,
-                             scale: float = 5.0) -> PairingSweep:
+def pairing_inequality_sweep(p, n: int, pairs: int, seed: int) -> PairingSweep:
     """Seeded random sweep of check_pairing_inequality, vectorized.
 
-    Pairs are drawn uniformly in [-scale, scale]^n and then stretched by
-    a random power of ten per pair so several magnitudes are probed. The
-    margin is normalized by 1 + |x| |y| to make one tolerance meaningful
-    across magnitudes. The first pair is pinned to x = 0, where the
-    slack is exactly 0 when J(0) = 0; it is reported on its own, and the
-    minimum margin is taken over the other pairs.
+    Pairs are drawn uniformly in [-5, 5]^n and then stretched by a random
+    power of ten per pair so several magnitudes are probed. The margin is
+    normalized by 1 + |x| |y| to make one tolerance meaningful across
+    magnitudes. The first pair is pinned to x = 0, where the slack is
+    exactly 0 when J(0) = 0; it is reported on its own, and the minimum
+    margin is taken over the other pairs.
     """
     p = check_exponent(p)
     if n < 1 or pairs < 2:
@@ -219,44 +225,15 @@ def pairing_inequality_sweep(p, n: int, pairs: int, seed: int,
             f"need n >= 1 and pairs >= 2 (one pair is pinned at x = 0),"
             f" got n = {n}, pairs = {pairs}")
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(-scale, scale, size=(pairs, n))
-    ys = rng.uniform(-scale, scale, size=(pairs, n))
+    xs = rng.uniform(-5.0, 5.0, size=(pairs, n))
+    ys = rng.uniform(-5.0, 5.0, size=(pairs, n))
     stretch = 10.0 ** rng.uniform(-2.0, 2.0, size=(pairs, 1))
     xs *= stretch
     ys *= stretch
     xs[0] = 0.0  # pin one degenerate endpoint; J(0) = 0 must hold too
-    d = xs - ys
-    cross = pairing_rows(duality_map_rows(xs, p) - duality_map_rows(ys, p), d)
-    rhs = pairing_rows(duality_map_rows(d, p), d)
-    # the norms come after the (pairs, n) temporaries above are freed, so
-    # they do not add to the sweep's peak memory
-    nx = norm_rows(xs, p)
-    ny = norm_rows(ys, p)
-    slack = (cross + 4.0 * nx * ny) - rhs
+    slack, nx, ny = _pairing_slack_rows(xs, ys, p)
     margin = slack / (1.0 + nx * ny)
     i = 1 + int(np.argmin(margin[1:]))
     return PairingSweep(min_margin=float(margin[i]), worst_x=xs[i].copy(),
                         worst_y=ys[i].copy(), pairs=pairs,
                         pinned_slack=float(slack[0]))
-
-
-def hilbert_rule_factor(r: float = 1.0, gamma: float = 1.0, s: float = 1.0,
-                        mu: float = 0.1) -> float:
-    """Value of 1 - s mu^2 (2 (r - gamma mu^2) / mu^2 - s) for a
-    gamma-cocoercive, r-strongly monotone, mu-Lipschitz mapping.
-
-    This is the squared factor a Hilbert-space step rule would assign at
-    step size s. At the defaults it is -0.97: negative, so no real
-    contraction factor exists, which exhibits constants that satisfy a
-    formally weaker hypothesis while leaving the certified regime empty.
-
-    Evaluated in the expanded form 1 - 2 s (r - gamma mu^2) + s^2 mu^2;
-    the nested form rounds the default case to -0.97000...02 instead of
-    the exact double -0.97.
-    """
-    r, gamma, s, mu = float(r), float(gamma), float(s), float(mu)
-    for name, val in (("r", r), ("gamma", gamma), ("s", s), ("mu", mu)):
-        if not np.isfinite(val):
-            raise InvalidInputError(f"{name} must be finite, got {val}")
-    mu2 = mu * mu
-    return 1.0 - 2.0 * s * (r - gamma * mu2) + s * s * mu2

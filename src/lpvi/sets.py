@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError, UnsupportedRetractionError
+from .errors import InvalidInputError, UnsupportedRetractionError
 from .spaces import as_vector, check_exponent, duality_map_rows, norm_rows
 
 
@@ -143,7 +143,7 @@ def members_mask(cset, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
     if isinstance(cset, Ball):
         return np.sqrt(_sq_norms(xs)) <= cset.radius + tol
     if isinstance(cset, Halfspace):
-        return xs @ cset.normal <= cset.offset + tol
+        return _normal_products(xs, cset.normal) <= cset.offset + tol
     raise InvalidInputError(f"unknown set type {type(cset).__name__}")
 
 
@@ -160,6 +160,12 @@ def _sq_norms(xs: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm of each row, summed in np.dot's order (a
     batched matmul), so membership and retraction agree on the sphere."""
     return (xs[:, None, :] @ xs[:, :, None])[:, 0, 0]
+
+
+def _normal_products(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """<x, a> for each row, summed the same way, so membership and
+    retraction agree on a halfspace's boundary."""
+    return (xs[:, None, :] @ a)[:, 0]
 
 
 def retract_rows(cset, xs: np.ndarray, p, *, out=None) -> np.ndarray:
@@ -180,7 +186,7 @@ def retract_rows(cset, xs: np.ndarray, p, *, out=None) -> np.ndarray:
                            xs, out=out)
     # halfspace: shift along the normal by the constraint violation
     a = cset.normal
-    excess = (xs[:, None, :] @ a)[:, 0] - cset.offset
+    excess = _normal_products(xs, a) - cset.offset
     over = ~(excess <= 0.0)
     shift = np.where(over, excess, 0.0) / np.dot(a, a)
     out = np.positive(xs, out=out)
@@ -200,6 +206,16 @@ def retract(cset, x, p) -> np.ndarray:
     return retract_rows(cset, x[None, :], p)[0]
 
 
+def bounding_box(cset) -> tuple[np.ndarray, np.ndarray] | None:
+    """(lo, hi) copies of the smallest box holding a box or ball, or None
+    for the unbounded sets."""
+    if isinstance(cset, Box):
+        return cset.lo.copy(), cset.hi.copy()
+    if isinstance(cset, Ball):
+        return np.full(cset.dim, -cset.radius), np.full(cset.dim, cset.radius)
+    return None
+
+
 _SAMPLE_CHUNK = 512
 _MAX_CHUNKS = 10_000
 
@@ -215,15 +231,11 @@ def sample_in_set(cset, count: int, seed: int, bounds=None) -> np.ndarray:
     if count < 0:
         raise InvalidInputError(f"count must be nonnegative, got {count}")
     if bounds is None:
-        if isinstance(cset, Box):
-            lo, hi = cset.lo, cset.hi
-        elif isinstance(cset, Ball):
-            lo = np.full(cset.dim, -cset.radius)
-            hi = np.full(cset.dim, cset.radius)
-        else:
+        bounds = bounding_box(cset)
+        if bounds is None:
             raise InvalidInputError(
-                "sampling an unbounded set requires an explicit bounds box"
-            )
+                "sampling an unbounded set requires an explicit bounds box")
+        lo, hi = bounds
     else:
         lo = as_vector(bounds[0], dim=cset.dim, name="bounds lo")
         hi = as_vector(bounds[1], dim=cset.dim, name="bounds hi")
@@ -265,11 +277,6 @@ def verify_sunny(cset, x, p, ts) -> float:
     return float(np.max(norm_rows(again - qx, p)))
 
 
-def _characterization_bounds(cset, x, x0):
-    half = 1.0 + 2.0 * float(np.sqrt(np.sum((x - x0) ** 2)))
-    return x0 - half, x0 + half
-
-
 def verify_characterization(cset, x, p, sample_count: int, seed: int) -> float:
     """Worst value of <x - Qx, J(Qx - y)> over sampled y in C.
 
@@ -283,11 +290,10 @@ def verify_characterization(cset, x, p, sample_count: int, seed: int) -> float:
     p = check_exponent(p)
     x0 = retract(cset, x, p)
     x = as_vector(x, dim=cset.dim)
-    if isinstance(cset, (Box, Ball)):
-        ys = sample_in_set(cset, sample_count, seed)
-    else:
-        ys = sample_in_set(cset, sample_count, seed,
-                           bounds=_characterization_bounds(cset, x, x0))
+    half = 1.0 + 2.0 * float(np.sqrt(np.sum((x - x0) ** 2)))
+    # an unbounded set is sampled in a box around x and Qx
+    bounds = (x0 - half, x0 + half) if bounding_box(cset) is None else None
+    ys = sample_in_set(cset, sample_count, seed, bounds=bounds)
     if isinstance(cset, Box) and cset.dim <= 10:
         corners = np.array(list(itertools.product(*zip(cset.lo, cset.hi))))
         ys = np.vstack([ys, corners])

@@ -131,20 +131,40 @@ def contraction_factor_sq(cert: Certificate, lam: float) -> float:
     This is the expanded form of 1 - lam mu^2 (bound - lam) with bound as
     in strict_step_intervals; values below 1 certify geometric decay of
     the strict rule. Can exceed 1 (no certification) or go negative
-    (hypotheses empty at those constants; see the oracle module's
-    hilbert_rule_factor for the classical example).
+    (hypotheses empty at those constants; see hilbert_rule_factor for the
+    classical example).
     """
     lam = _check_step(lam)
     u, v, mu = cert.u, cert.v, cert.mu
     return 1.0 - lam * (v - u * mu * mu - 5.0 * mu) + lam * lam * mu * mu
 
 
+def hilbert_rule_factor(r: float = 1.0, gamma: float = 1.0, s: float = 1.0,
+                        mu: float = 0.1) -> float:
+    """Value of 1 - s mu^2 (2 (r - gamma mu^2) / mu^2 - s) for a
+    gamma-cocoercive, r-strongly monotone, mu-Lipschitz mapping.
+
+    This is the squared factor a Hilbert-space step rule would assign at
+    step size s. At the defaults it is -0.97: negative, so no real
+    contraction factor exists, which exhibits constants that satisfy a
+    formally weaker hypothesis while leaving the certified regime empty.
+
+    Evaluated in the expanded form 1 - 2 s (r - gamma mu^2) + s^2 mu^2,
+    with gamma mu^2 as (gamma mu) mu and s^2 mu^2 as ((s s) mu) mu; the
+    nested form rounds the default case to -0.97000...02 instead of the
+    exact double -0.97.
+    """
+    r, gamma, s, mu = float(r), float(gamma), float(s), float(mu)
+    for name, val in (("r", r), ("gamma", gamma), ("s", s), ("mu", mu)):
+        if not np.isfinite(val):
+            raise InvalidInputError(f"{name} must be finite, got {val}")
+    return 1.0 - 2.0 * s * (r - gamma * mu * mu) + s * s * mu * mu
+
+
 def hilbert_factor_sq(cert: Certificate, lam: float) -> float:
-    """Empirical-rate proxy at p = 2: 1 - 2 lam (v - u mu^2) + lam^2 mu^2,
+    """Empirical-rate proxy at p = 2: hilbert_rule_factor(v, u, lam, mu),
     clipped into [0, 1)."""
-    lam = _check_step(lam)
-    u, v, mu = cert.u, cert.v, cert.mu
-    q2 = 1.0 - 2.0 * lam * (v - u * mu * mu) + lam * lam * mu * mu
+    q2 = hilbert_rule_factor(cert.v, cert.u, _check_step(lam), cert.mu)
     return min(max(q2, 0.0), math.nextafter(1.0, 0.0))
 
 
@@ -171,11 +191,10 @@ def select_lambda(problem: Problem, lam: float | None = None
         raise ConfigError(
             "certificate is inconsistent (v > mu + u mu^2 is impossible for"
             " any mapping); refusing to auto-select a step size")
-    if problem.space.p == 2.0:
-        window = hilbert_step_interval(problem.cert)
-        if window is not None:
-            c = problem.cert
-            return (c.v - c.u * c.mu * c.mu) / (c.mu * c.mu), Certification.HILBERT
+    # the hilbert-only verdict is v > u mu^2, hilbert_step_interval's test
+    if problem.space.p == 2.0 and report.verdict is Feasibility.HILBERT_ONLY:
+        c = problem.cert
+        return (c.v - c.u * c.mu * c.mu) / (c.mu * c.mu), Certification.HILBERT
     raise ConfigError(
         "certificate does not certify a step size for this space;"
         " supply lambda explicitly")

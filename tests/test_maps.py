@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpvi import (Affine, BlackBox, Box, Certificate, EstimationError,
                   EvaluationError, Feasibility, InvalidInputError,
@@ -212,6 +216,39 @@ def test_strict_verdict_never_fires_on_random_certificates():
     for u, v, mu in raw:
         rep = certificate_feasibility(Certificate(u, v, mu))
         assert rep.verdict is not Feasibility.STRICT
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                     allow_infinity=False)
+
+
+def _strict_verdict_is_unreachable(u, v, mu):
+    rep = certificate_feasibility(Certificate(u, v, mu))
+    assert not (rep.strict_condition_holds and rep.consistency_bound_ok)
+    assert rep.verdict is not Feasibility.STRICT
+
+
+@given(u=positive, v=positive, mu=positive)
+@settings(max_examples=1000, deadline=None)
+def test_strict_verdict_is_unreachable_at_every_positive_finite_certificate(u, v, mu):
+    # rounding is monotone, so v > fl(u mu^2 + 5 mu) >= fl(u mu^2 + mu)
+    # rules out consistency in floating point as it does in the reals
+    _strict_verdict_is_unreachable(u, v, mu)
+
+
+def test_strict_verdict_is_unreachable_next_to_both_boundaries():
+    rng = np.random.default_rng(21)
+    for u, mu in (10.0 ** rng.uniform(-150, 150, size=(2000, 2))).tolist():
+        for edge in (u * mu * mu + mu, u * mu * mu + 5.0 * mu):
+            if not 0.0 < edge < math.inf:
+                continue
+            below, above = edge, edge
+            for _ in range(3):
+                below = math.nextafter(below, 0.0)
+                above = math.nextafter(above, math.inf)
+                for v in (below, edge, above):
+                    if 0.0 < v < math.inf:
+                        _strict_verdict_is_unreachable(u, v, mu)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 100])

@@ -3,8 +3,8 @@ import pytest
 
 from lpvi import (Ball, Box, Halfspace, InvalidInputError, RetractionMode,
                   ShapeError, UnsupportedRetractionError, WholeSpace,
-                  contains, retract, retraction_support, sample_in_set,
-                  verify_characterization, verify_sunny)
+                  bounding_box, contains, retract, retraction_support,
+                  sample_in_set, verify_characterization, verify_sunny)
 from lpvi.sets import members_mask, retract_rows
 from lpvi.spaces import norm_rows
 
@@ -126,6 +126,33 @@ def test_ball_membership_and_retraction_agree_on_the_sphere(n, radius):
             inside += 1
             assert retract(ball, x, 2).tobytes() == x.tobytes()
     assert 0 < inside < len(xs)
+
+
+def test_halfspace_membership_and_retraction_agree_on_the_boundary():
+    # retracted rows land an ulp either side of the hyperplane; the ones
+    # members_mask calls inside must be the ones retract_rows leaves alone
+    rng = np.random.default_rng(0)
+    inside = 0
+    for k in range(400):
+        n = 2 + k % 99
+        hs = Halfspace(rng.standard_normal(n), rng.standard_normal())
+        ys = retract_rows(hs, 3.0 * rng.standard_normal((50, n)), 2.0)
+        kept = ys[members_mask(hs, ys)]
+        inside += kept.shape[0]
+        assert retract_rows(hs, kept, 2.0).tobytes() == kept.tobytes()
+    assert 0 < inside < 400 * 50
+
+
+def test_bounding_box_of_each_set():
+    box = Box([-1.0, 0.0], [2.0, 3.0])
+    lo, hi = bounding_box(box)
+    assert lo.tolist() == [-1.0, 0.0] and hi.tolist() == [2.0, 3.0]
+    lo[0] = 5.0   # a copy: the box keeps its corner
+    assert box.lo[0] == -1.0
+    lo, hi = bounding_box(Ball(3, 0.5))
+    assert lo.tolist() == [-0.5] * 3 and hi.tolist() == [0.5] * 3
+    assert bounding_box(WholeSpace(2)) is None
+    assert bounding_box(Halfspace([1.0, 0.0], 1.0)) is None
 
 
 def test_retract_rows_keeps_points_of_the_set_exactly():

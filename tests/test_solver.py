@@ -9,7 +9,7 @@ from lpvi import (Affine, Ball, BlackBox, Box, Certificate, Certification,
                   ShapeError, SolveStatus, SpaceSpec,
                   UnsupportedRetractionError, WholeSpace, contains, evaluate,
                   contraction_factor_sq, hilbert_factor_sq,
-                  hilbert_step_interval, picard_solve, select_lambda, solve,
+                  hilbert_rule_factor, hilbert_step_interval, picard_solve, select_lambda, solve,
                   strict_step_intervals, vi_residual)
 from lpvi import solver as solver_module
 from lpvi.spaces import p_norm
@@ -93,6 +93,14 @@ def test_hilbert_factor_clipping():
     assert hilbert_factor_sq(cert, 100.0) < 1.0   # clipped from above
     assert hilbert_factor_sq(Certificate(0.5, 0.51, 1.0), 0.01) == 0.0 or \
         hilbert_factor_sq(Certificate(0.5, 0.51, 1.0), 0.01) >= 0.0
+
+
+def test_hilbert_factor_keeps_its_evaluation_order():
+    # gamma mu^2 as (u mu) mu and s^2 mu^2 as ((lam lam) mu) mu; forming
+    # mu^2 first rounds this certificate's midpoint step to ...778
+    cert = Certificate(0.01209699050392171, 1.8544624673696875, 3.213854545722011)
+    assert hilbert_factor_sq(cert, 0.16744482538439873) == 0.7104017744373777
+    assert hilbert_rule_factor() == -0.97
 
 
 def test_select_lambda_hilbert_auto():
