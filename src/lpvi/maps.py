@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import EstimationError, EvaluationError, InvalidInputError, ShapeError
 from .sets import bounding_box, sample_in_set
-from .spaces import as_vector, check_exponent, duality_map_rows, norm_rows
+from .spaces import (as_vector, check_exponent, duality_map_rows, norm_rows,
+                     pairing_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +229,7 @@ def check_relaxed_cocoercive(mapping, region, u, v, p, sample_pairs: int,
     p, xs, ys, dbs, seps, skipped = _paired_data(
         mapping, region, p, sample_pairs, seed, bounds)
     jd = duality_map_rows(xs - ys, p)
-    slacks = (np.sum(dbs * jd, axis=1)
+    slacks = (pairing_rows(dbs, jd)
               + u * norm_rows(dbs, p) ** 2
               - v * seps ** 2)
     return _slack_report(slacks, xs, ys, seps, skipped)
@@ -243,7 +244,7 @@ def check_strongly_monotone(mapping, region, v, p, sample_pairs: int,
     p, xs, ys, dbs, seps, skipped = _paired_data(
         mapping, region, p, sample_pairs, seed, bounds)
     jd = duality_map_rows(xs - ys, p)
-    slacks = np.sum(dbs * jd, axis=1) - v * seps ** 2
+    slacks = pairing_rows(dbs, jd) - v * seps ** 2
     return _slack_report(slacks, xs, ys, seps, skipped)
 
 

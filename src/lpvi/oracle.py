@@ -36,8 +36,8 @@ from .errors import InvalidInputError, ResourceError, ShapeError, UnsupportedOra
 from .maps import evaluate_rows
 from .sets import bounding_box, members_mask
 from .solver import Problem
-from .spaces import (as_vector, check_exponent, duality_map_rows, norm_rows,
-                     pairing_rows)
+from .spaces import (as_vector, check_exponent, duality_map_rows,
+                     duality_norm_rows, norm_rows, pairing_rows)
 
 MAX_GRID_DIM = 3
 MAX_SCREEN_PAIRS = 20_000_000_000
@@ -178,12 +178,15 @@ def grid_vi_solve(problem: Problem, grid: GridSpec,
 def _pairing_slack_rows(xs: np.ndarray, ys: np.ndarray, p: float):
     """Slack of the pairing inequality for each row pair, with |x| and |y|."""
     d = xs - ys
-    cross = pairing_rows(duality_map_rows(xs, p) - duality_map_rows(ys, p), d)
+    jx, nx = duality_norm_rows(xs, p)
+    jy, ny = duality_norm_rows(ys, p)
+    # J(y) is freed right after J(x) - J(y), and J(x) - J(y) after its
+    # pairing, so J(d) is the only (pairs, n) map alive when it is made
+    jx -= jy
+    del jy
+    cross = pairing_rows(jx, d)
+    del jx
     rhs = pairing_rows(duality_map_rows(d, p), d)
-    # the norms come after the (pairs, n) temporaries above are freed, so
-    # they do not add to a sweep's peak memory
-    nx = norm_rows(xs, p)
-    ny = norm_rows(ys, p)
     return (cross + 4.0 * nx * ny) - rhs, nx, ny
 
 

@@ -16,6 +16,11 @@ by a power of two comes back rounded (below about 2^-1022 times the row
 max) or flushed to 0.0 (below about 2^-1074 times it), so
 J([1e300, 1e-300]) = [1e300, 0.0].
 
+Since <x, J(x)> = |x|^2, every J(x) already holds |x|_p: duality_norm_rows
+returns J(x) and |x|_p of each row from one pass over |x|, one row max and
+one p-th-power row sum, so a caller that needs both never norms its rows
+again. duality_map_rows is its J half.
+
 Functionals are represented as plain vectors of coefficients; pairing(f, x)
 is the Euclidean dot product of the coefficient vectors.
 """
@@ -108,6 +113,20 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1)
 
 
+def _power_sums(mags: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
+    """sum_i (mags_i / m)^p for each row of the moduli `mags`, m their row
+    max. Works in place: `mags` ends up holding the powers, and m is 1 on
+    zero and infinite rows."""
+    # zero and infinite rows go unscaled: their sums are 0 and inf as they
+    # stand, while inf / inf would be NaN (a NaN row keeps its NaN max)
+    m[(m == 0.0) | (m == math.inf)] = 1.0
+    # `**=` keeps numpy's array power, whose last bits a Python-scalar
+    # power would not reproduce
+    mags /= m[:, None]
+    mags **= p
+    return _row_sum(mags)
+
+
 def norm_rows(xs: np.ndarray, p: float) -> np.ndarray:
     """p-norm of each row of a 2-d array. Rows are scaled by their max
     modulus before exponentiation so large entries do not overflow. A row
@@ -116,14 +135,7 @@ def norm_rows(xs: np.ndarray, p: float) -> np.ndarray:
     mags = np.abs(np.asarray(xs, dtype=float))
     m = _row_max(mags)
     zero = m == 0.0
-    # zero and infinite rows go unscaled: their sums are 0 and inf as they
-    # stand, while inf / inf would be NaN (a NaN row keeps its NaN max)
-    m[zero | (m == math.inf)] = 1.0
-    # in place from here on; `**=` keeps numpy's array power, whose last
-    # bits a Python-scalar power would not reproduce
-    mags /= m[:, None]
-    mags **= p
-    s = _row_sum(mags)
+    s = _power_sums(mags, m, p)
     s **= 1.0 / p
     s *= m
     s[zero] = 0.0
@@ -149,31 +161,46 @@ def pairing_rows(fs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return _row_sum(np.asarray(fs, float) * np.asarray(xs, float))
 
 
-def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:
-    """Normalized duality map applied to each row of a 2-d array. A row
-    that is not finite maps to a row that is not finite."""
+def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
+    """J(x) and |x|_p of each row of a 2-d array, in one pass over |x|.
+    The Hilbert case skips the norms (None) unless `with_norms` is set."""
     xs = np.asarray(xs, dtype=float)
+    mags = np.abs(xs)
+    m = _row_max(mags)
+    zero = m == 0.0
     # J is homogeneous of degree 1, so each row is rescaled by an exact
     # power of two first; |x_i|^(p-1) and |x|^(2-p) can over/underflow
-    # separately at extreme magnitudes even though J(x) is representable
-    m = _row_max(np.abs(xs))
-    _, e = np.frexp(m)
+    # separately at extreme magnitudes even though J(x) is representable.
+    # frac = m / 2^e is the rescaled row's max, exactly
+    frac, e = np.frexp(m)
     e = np.where(m > 0.0, e, 0)
     scaled = np.ldexp(xs, -e[:, None])
-    zero = m == 0.0
+    norms = None
+    if p != 2.0 or with_norms:
+        # one p-th-power row sum r^p serves both norms: |x| = r m, and the
+        # rescaled row's norm is r frac. That is the sum the rescaled row
+        # would give, bit for bit: |s_i| / frac equals |x_i| / m for every
+        # entry the rescaling does not round, and a rounded entry is below
+        # 2^-1021 of its row max, so its p-th power cannot move a sum >= 1
+        r = _power_sums(mags, m, p) ** (1.0 / p)
+        norms = r * m
+        norms[zero] = 0.0
     if p == 2.0:
         # Hilbert case, J = I, with the bits of the formula below: `+ 0.0`
         # turns -0.0 into +0.0 as |s|^1 sign(s) does, and the rescaling
         # round trip flushes entries that underflow next to their row max
         out = scaled + 0.0
     else:
-        norms = norm_rows(scaled, p)
-        factor = np.ones_like(norms)
-        # 0 ** (2 - p) is inf for p > 2; zero rows keep the factor 1
+        scaled_norms = r * frac
+        factor = np.ones_like(scaled_norms)
+        # 0 ** (2 - p) is inf for p > 2; zero rows keep the factor 1. J is
+        # built in the buffer of the spent powers
         with np.errstate(over="ignore", invalid="ignore"):
-            factor[~zero] = norms[~zero] ** (2.0 - p)
-            out = (factor[:, None] * np.abs(scaled) ** (p - 1.0)
-                   * np.sign(scaled))
+            factor[~zero] = scaled_norms[~zero] ** (2.0 - p)
+            out = np.abs(scaled, out=mags)
+            out **= p - 1.0
+            out *= factor[:, None]
+            out *= np.sign(scaled)
         # above p of about 1100, |x|^(2-p) can overflow while |x_i|^(p-1)
         # underflows. With m the row max and s = sum_i (|x_i| / m)^p, the
         # same J(x)_i is m (|x_i| / m)^(p-1) s^(2/p - 1), whose factors stay
@@ -181,16 +208,31 @@ def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:
         # |x| = m s^(1/p) rounds to m (p above about 1e16). Rows with a
         # finite factor keep the formula above and its bits; so do infinite
         # rows (norm inf), which come out of it not finite.
-        big = np.isinf(factor) & np.isfinite(norms)
+        big = np.isinf(factor) & np.isfinite(scaled_norms)
         if big.any():
-            mags = np.abs(scaled[big])
-            m_big = _row_max(mags)[:, None]
-            t = mags / m_big
+            m_big = frac[big][:, None]
+            t = np.abs(scaled[big]) / m_big
+            # summed again on the rescued rows' own (C-order) copy: numpy
+            # sums a row of 8 or more entries in another order when the
+            # array is in F order, and these are the copy's bits
             s = _row_sum(t ** p)[:, None]
             out[big] = (m_big * t ** (p - 1.0) * s ** (2.0 / p - 1.0)
                         * np.sign(scaled[big]))
     out[zero] = 0.0
-    return np.ldexp(out, e[:, None])
+    return np.ldexp(out, e[:, None], out=out), norms
+
+
+def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:
+    """Normalized duality map applied to each row of a 2-d array. A row
+    that is not finite maps to a row that is not finite."""
+    return _duality_rows(xs, p, False)[0]
+
+
+def duality_norm_rows(xs: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """J(x) and |x|_p of each row of a 2-d array, from one pass: the norms
+    have the bits of norm_rows(xs, p), the maps those of
+    duality_map_rows(xs, p)."""
+    return _duality_rows(xs, p, True)
 
 
 def duality_map(x, p) -> np.ndarray:

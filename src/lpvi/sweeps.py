@@ -16,7 +16,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .sets import (Ball, Box, Halfspace, retract, retract_rows, sample_in_set,
                    verify_characterization, verify_sunny)
-from .spaces import dual_exponent, duality_map_rows, norm_rows, pairing_rows
+from .spaces import (dual_exponent, duality_map_rows, duality_norm_rows,
+                     norm_rows, pairing_rows)
 
 
 def _worst(pick, worst: float, value) -> float:
@@ -62,8 +63,7 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
         q = dual_exponent(p)
         for n in n_values:
             xs = _sample_vectors(rng, count, int(n))
-            js = duality_map_rows(xs, p)
-            nx = norm_rows(xs, p)
+            js, nx = duality_norm_rows(xs, p)
             nj = norm_rows(js, q)
             pairings = pairing_rows(js, xs)
             report.worst_identity = _worst(
@@ -95,7 +95,9 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
                 report.worst_bound_excess = _worst(
                     max, report.worst_bound_excess,
                     np.max((vals - pn[None, :]) / (1.0 + pn[None, :])))
-                jprobe = duality_map_rows(probe, p) / pn[:, None]
+                # the kernel maps each row of a C-order array on its own,
+                # so these are the probe rows' maps
+                jprobe = js[nonzero][:16] / pn[:, None]
                 attained = pairing_rows(jprobe, probe)
                 report.worst_attainment = _worst(
                     max, report.worst_attainment,

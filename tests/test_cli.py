@@ -461,17 +461,24 @@ def test_module_entry_point_runs_in_a_subprocess():
 
 def _break_kernel(monkeypatch, kernel):
     """Put NaN into row 3 of every result of `kernel` that has four rows
-    or more, wherever lpvi calls it; returns the count of such results."""
+    or more, wherever lpvi calls it; returns the count of such results.
+    A kernel that returns J(x) and |x| gets NaN in row 3 of both."""
     from lpvi import maps, oracle, sets, solver, spaces, sweeps
     real = getattr(sets if kernel == "retract_rows" else spaces, kernel)
     broken_results = [0]
 
-    def broken(*args, **kwargs):
-        out = np.array(real(*args, **kwargs), dtype=float)
+    def nan_row(result):
+        out = np.array(result, dtype=float)
         if out.shape[0] > 3:
             out[3] = np.nan
             broken_results[0] += 1
         return out
+
+    def broken(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if isinstance(result, tuple):
+            return tuple(nan_row(part) for part in result)
+        return nan_row(result)
 
     for module in (spaces, sets, maps, sweeps, oracle, solver):
         if hasattr(module, kernel):
@@ -481,7 +488,8 @@ def _break_kernel(monkeypatch, kernel):
 
 @pytest.mark.parametrize("suite", ["duality", "pairing", "retraction"])
 @pytest.mark.parametrize("kernel",
-                         ["duality_map_rows", "norm_rows", "retract_rows"])
+                         ["duality_map_rows", "duality_norm_rows", "norm_rows",
+                          "retract_rows"])
 def test_verify_fails_on_a_nan_row(capsys, monkeypatch, kernel, suite):
     _, clean, _ = run(capsys, "verify", suite, "--count", "300")
     broken_results = _break_kernel(monkeypatch, kernel)
@@ -496,26 +504,35 @@ def test_verify_fails_on_a_nan_row(capsys, monkeypatch, kernel, suite):
         # a NaN row has a NaN norm and a non-finite duality map
         reached = {("retract_rows", "retraction"): ["box sunny deviation",
                                                     "nonexpansiveness excess"],
-                   ("duality_map_rows", "duality"): ["duality homogeneity"]}
+                   ("duality_map_rows", "duality"): ["duality homogeneity"],
+                   ("duality_norm_rows", "duality"): [
+                       "duality pairing identity", "duality norm identity"],
+                   ("duality_norm_rows", "pairing"): ["pairing inequality"]}
         for name in reached.get((kernel, suite), []):
             assert any(line.startswith(name) for line in changed), name
     else:
-        # the duality and pairing suites retract nothing
-        assert (kernel, code, out) == ("retract_rows", 0, clean)
+        # the duality and pairing suites retract nothing, the pairing
+        # suite takes its norms from the duality kernel, and the retraction
+        # suite never needs J(x) and |x| together
+        assert (code, out) == (0, clean)
+        assert (kernel, suite) in {("retract_rows", "duality"),
+                                   ("retract_rows", "pairing"),
+                                   ("norm_rows", "pairing"),
+                                   ("duality_norm_rows", "retraction")}
 
 
 def test_verify_pairing_checks_the_pinned_pair(capsys, monkeypatch):
     from lpvi import oracle
-    real = oracle.duality_map_rows
+    real = oracle.duality_norm_rows
 
     def j_of_zero_is_one(xs, p):
-        out = real(xs, p)
+        out, norms = real(xs, p)
         out[~np.any(xs, axis=1)] = 1.0
-        return out
+        return out, norms
 
     code, out, _ = run(capsys, "verify", "pairing", "--count", "300")
     assert code == 0 and len(out.splitlines()) == 9
-    monkeypatch.setattr(oracle, "duality_map_rows", j_of_zero_is_one)
+    monkeypatch.setattr(oracle, "duality_norm_rows", j_of_zero_is_one)
     code, broken, _ = run(capsys, "verify", "pairing", "--count", "300")
     assert code == 1
     lines = broken.splitlines()
@@ -523,6 +540,31 @@ def test_verify_pairing_checks_the_pinned_pair(capsys, monkeypatch):
     assert [ln for ln in lines if ln.endswith("PASS")] == out.splitlines()
     pinned = [ln for ln in lines if ln.startswith("pinned pair x = 0")]
     assert len(pinned) == 9 and all(ln.endswith("FAIL") for ln in pinned)
+
+
+def test_verify_suites_norm_no_row_the_duality_kernel_normed(capsys,
+                                                            monkeypatch):
+    from lpvi import maps, oracle, sets, solver, spaces, sweeps
+    real = spaces.norm_rows
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    for module in (spaces, sets, maps, sweeps, oracle, solver):
+        if hasattr(module, "norm_rows"):
+            monkeypatch.setattr(module, "norm_rows", counted)
+    seen = {}
+    for suite in ("pairing", "duality"):
+        calls[0] = 0
+        code, _, _ = run(capsys, "verify", suite, "--seed", "0")
+        assert code == 0
+        seen[suite] = calls[0]
+    # |x| and |y| come with J(x) and J(y); each of the duality suite's
+    # 4 p x 3 n blocks norms only |Jx|_q, the homogeneity gaps and its
+    # probe functionals
+    assert seen == {"pairing": 0, "duality": 36}
 
 
 def test_verify_pairing_needs_two_pairs(capsys):

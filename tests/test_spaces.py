@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from lpvi import (InvalidInputError, ShapeError, SpaceSpec,
                   UnsupportedSpaceError, dual_exponent, duality_map, p_norm,
                   pairing)
-from lpvi.spaces import duality_map_rows, norm_rows, pairing_rows
+from lpvi.spaces import (duality_map_rows, duality_norm_rows, norm_rows,
+                         pairing_rows)
 
 # frozen reference values (high-precision arithmetic, rounded to double)
 ROOT4_2 = 1.189207115002721    # 2**(1/4)
@@ -126,6 +127,9 @@ def test_row_kernels_match_axis_reductions_bit_for_bit(p, n):
             assert same_bits(norm_rows(a, p), axis_norm_rows(a, p))
             assert same_bits(duality_map_rows(a, p),
                              axis_duality_map_rows(a, p))
+            js, norms = duality_norm_rows(a, p)
+            assert same_bits(js, axis_duality_map_rows(a, p))
+            assert same_bits(norms, axis_norm_rows(a, p))
             with np.errstate(over="ignore", invalid="ignore"):  # 1e300^2
                 assert same_bits(pairing_rows(a, ys),
                                  axis_pairing_rows(a, ys))
@@ -343,6 +347,67 @@ def test_duality_map_rows_keeps_its_bits_up_to_p_1000(p, n):
         for a in (xs, np.asfortranarray(xs)):
             assert same_bits(duality_map_rows(a, p),
                              axis_duality_map_rows(a, p))
+
+
+def two_pass_duality_map_rows(xs, p):
+    # duality_map_rows as it was while it normed the rescaled rows in a
+    # second pass, with the regrouped formula for rows whose factor
+    # |x|^(2-p) overflows
+    xs = np.asarray(xs, dtype=float)
+    m = np.max(np.abs(xs), axis=1)
+    _, e = np.frexp(m)
+    e = np.where(m > 0.0, e, 0)
+    scaled = np.ldexp(xs, -e[:, None])
+    zero = m == 0.0
+    norms = norm_rows(scaled, p)
+    factor = np.ones_like(norms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor[~zero] = norms[~zero] ** (2.0 - p)
+        out = factor[:, None] * np.abs(scaled) ** (p - 1.0) * np.sign(scaled)
+    big = np.isinf(factor) & np.isfinite(norms)
+    mags = np.abs(scaled[big])
+    m_big = np.max(mags, axis=1)[:, None]
+    t = mags / m_big
+    s = np.sum(t ** p, axis=1)[:, None]
+    out[big] = (m_big * t ** (p - 1.0) * s ** (2.0 / p - 1.0)
+                * np.sign(scaled[big]))
+    out[zero] = 0.0
+    return np.ldexp(out, e[:, None])
+
+
+@pytest.mark.parametrize("p", [1026.5, 1500.0, 1e300])
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 20])
+def test_one_pass_kernel_keeps_the_bits_of_two_passes_at_huge_p(p, n):
+    # the rescue path (row 5 takes it at every p here, row 6 above
+    # p = 1026.5), on rows with NaN, +-inf and 2^-1070 entries and rows
+    # whose rescaling rounds entries next to a huge max, in C and F order
+    rng = np.random.default_rng([n, 1026])
+    xs = rng.standard_normal((300, n)) * 10.0 ** rng.uniform(-300, 300, (300, 1))
+    special = [np.nan, np.inf, -np.inf, 2.0 ** -1070, -(2.0 ** -1070), 0.0]
+    mask = rng.random((300, n)) < 0.1
+    xs[mask] = rng.choice(special, size=int(mask.sum()))
+    xs[0] = 2.0 ** -1070
+    xs[1] = np.nan
+    xs[2] = -np.inf
+    xs[3] = 1e300
+    xs[3, ::2] = 1e-300
+    xs[4] = 0.0
+    xs[5] = 1e-20
+    xs[5, 0] = -(2.0 ** 100)  # a max at the bottom of its binade
+    xs[6] = 2.0 ** -200 * (1.0 - rng.uniform(0.0, 0.02, n))
+    xs[6, 0] = 2.0 ** -200  # near ties: an inexact sum at p = 1500
+    for a in (xs, np.asfortranarray(xs)):
+        # a row with an infinite entry takes finite entries to the p-th
+        # power unscaled, which overflows in every one of these kernels
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            js, norms = duality_norm_rows(a, p)
+            assert same_bits(js, two_pass_duality_map_rows(a, p))
+            assert same_bits(js, duality_map_rows(a, p))
+            assert same_bits(norms, norm_rows(a, p))
+        finite = np.isfinite(a).all(axis=1)
+        assert np.isfinite(js[finite]).all()
+        assert not np.isfinite(js[~finite]).all(axis=1).any()
 
 
 @pytest.mark.parametrize("p", [1100.0, 1200.0, 2000.0, 1e6, 1e300])
