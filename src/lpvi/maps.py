@@ -10,6 +10,11 @@ the caller; the check_* functions here probe them on seeded sample pairs
 and report the worst slack found. A sampling check can falsify a claim,
 never prove it, which is why the verdict vocabulary is "no violation
 found", not "holds".
+
+Evaluation has one kernel per kind of map, bound once by
+rows_kernel(mapping): a loop calls the function it returns, with no
+dispatch per call. evaluate_rows_unchecked applies it once, and
+evaluate_rows and evaluate add the finiteness check and validation.
 """
 
 from __future__ import annotations
@@ -102,33 +107,63 @@ def evaluate_rows(mapping, xs: np.ndarray) -> np.ndarray:
 
 
 def evaluate_rows_unchecked(mapping, xs: np.ndarray, *, out=None) -> np.ndarray:
-    """B on each row of a float array, which may come out non-finite.
+    """B on each row of a float array, which may come out non-finite:
+    rows_kernel(mapping) applied once."""
+    return rows_kernel(mapping)(xs, out)
+
+
+def rows_kernel(mapping) -> Callable[..., np.ndarray]:
+    """The function f(xs, out=None) that writes B of each row of a float
+    array into out (a new array when out is None) and returns it, without
+    checks: its output may be non-finite. The dispatch on the mapping's
+    kind happens here, once, so a loop binds f before it starts.
     Vectorized for affine chains, a row loop for black boxes; a black box
-    that raises or returns the wrong shape is an EvaluationError. The rows
-    are written into out when it is given, and out is returned."""
+    that raises or returns the wrong shape is an EvaluationError."""
     if isinstance(mapping, Affine):
-        out = np.matmul(xs, mapping.matrix.T, out=out)
-        out += mapping.offset
-        return out
+        matrix_t, offset = mapping.matrix.T, mapping.offset
+
+        def affine(xs, out=None):
+            out = np.matmul(xs, matrix_t, out=out)
+            out += offset
+            return out
+        return affine
     if isinstance(mapping, ResidualOfContraction):
-        # xs minus a non-finite value is non-finite, so a check of this
-        # result covers the inner map too
-        inner = evaluate_rows_unchecked(mapping.inner, xs, out=out)
-        return np.subtract(xs, inner, out=inner)
+        inner = rows_kernel(mapping.inner)
+
+        def residual(xs, out=None):
+            # xs minus a non-finite value is non-finite, so a check of this
+            # result covers the inner map too
+            inner_out = inner(xs, out)
+            return np.subtract(xs, inner_out, out=inner_out)
+        return residual
     if isinstance(mapping, BlackBox):
-        if out is None:
-            out = np.empty_like(xs)
-        for i, row in enumerate(xs):
-            try:
-                value = np.asarray(mapping.func(row), dtype=float)
-            except Exception as exc:
-                raise EvaluationError(f"mapping evaluator raised: {exc}") from exc
-            if value.shape != row.shape:
-                raise EvaluationError(
-                    f"mapping returned shape {value.shape}, expected {row.shape}")
-            out[i] = value
-        return out
+        func = mapping.func
+
+        def black_box(xs, out=None):
+            if out is None:
+                out = np.empty_like(xs)
+            for i, row in enumerate(xs):
+                try:
+                    value = np.asarray(func(row), dtype=float)
+                except Exception as exc:
+                    raise EvaluationError(f"mapping evaluator raised: {exc}") from exc
+                if value.shape != row.shape:
+                    raise EvaluationError(
+                        f"mapping returned shape {value.shape}, expected {row.shape}")
+                out[i] = value
+            return out
+        return black_box
     raise InvalidInputError(f"unknown mapping type {type(mapping).__name__}")
+
+
+def has_black_box(mapping) -> bool:
+    """Whether evaluating the mapping calls a BlackBox, alone or inside a
+    ResidualOfContraction. Its calls are observable and may fail, so a
+    loop must not evaluate it past a failure; an affine chain has no such
+    effects and may be evaluated ahead and checked afterwards."""
+    while isinstance(mapping, ResidualOfContraction):
+        mapping = mapping.inner
+    return isinstance(mapping, BlackBox)
 
 
 def _sample_pairs(region, pairs: int, seed: int, bounds):

@@ -14,6 +14,11 @@ terms. At p = 2 the metric projection is the sunny nonexpansive
 retraction, which covers balls and halfspaces. Radial scaling onto a ball
 is sunny but not nonexpansive for p != 2, so that combination is refused
 rather than silently wrong.
+
+Each retraction has one rows-first kernel, bound once by
+retraction_kernel(cset, p): a loop calls the function it returns, with
+no dispatch per call. retract_rows applies it once, and retract adds
+the validation.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -169,28 +175,48 @@ def _normal_products(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def retract_rows(cset, xs: np.ndarray, p, *, out=None) -> np.ndarray:
-    """retract on each row of a 2-d array, without validation: callers
-    check retraction_support(cset, p) once. Rows in C come back unchanged.
-    Row inner products use a batched matmul, which sums in np.dot's order.
-    The rows are written into out when it is given, and out is returned."""
-    xs = np.asarray(xs, dtype=float)
+    """retract on each row of a 2-d array, without validation:
+    retraction_kernel(cset, p) applied once."""
+    return retraction_kernel(cset, p)(np.asarray(xs, dtype=float), out)
+
+
+def retraction_kernel(cset, p) -> Callable[..., np.ndarray]:
+    """The function g(xs, out=None) that writes the retraction of each row
+    of a 2-d float array into out (a new array when out is None) and
+    returns it. No validation: callers check retraction_support(cset, p)
+    once. The dispatch on the set's kind happens here, once, so a loop
+    binds g before it starts. Rows in C come back unchanged. Row inner
+    products use a batched matmul, which sums in np.dot's order."""
     if isinstance(cset, WholeSpace):
-        return np.positive(xs, out=out)  # a copy, -0.0 and NaN included
+        return np.positive  # a copy, -0.0 and NaN included
     if isinstance(cset, Box):
-        # the method np.clip calls, so np.clip's bits, signed zeros included
-        return xs.clip(cset.lo, cset.hi, out=out)
+        lo, hi = cset.lo, cset.hi
+
+        def box(xs, out=None):
+            # the method np.clip calls, so np.clip's bits, signed zeros
+            # included
+            return xs.clip(lo, hi, out=out)
+        return box
     if isinstance(cset, Ball):
-        # radius / max(|x|, radius) is exactly 1.0 inside the ball
-        nrm = np.sqrt(_sq_norms(xs))
-        return np.multiply((cset.radius / np.maximum(nrm, cset.radius))[:, None],
-                           xs, out=out)
-    # halfspace: shift along the normal by the constraint violation
-    a = cset.normal
-    excess = _normal_products(xs, a) - cset.offset
-    over = ~(excess <= 0.0)
-    shift = np.where(over, excess, 0.0) / np.dot(a, a)
-    out = np.positive(xs, out=out)
-    return np.subtract(xs, shift[:, None] * a, out=out, where=over[:, None])
+        radius = cset.radius
+
+        def ball(xs, out=None):
+            # radius / max(|x|, radius) is exactly 1.0 inside the ball
+            nrm = np.sqrt(_sq_norms(xs))
+            return np.multiply((radius / np.maximum(nrm, radius))[:, None],
+                               xs, out=out)
+        return ball
+    a, offset = cset.normal, cset.offset
+    a_sq = np.dot(a, a)
+
+    def halfspace(xs, out=None):
+        # shift along the normal by the constraint violation
+        excess = _normal_products(xs, a) - offset
+        over = ~(excess <= 0.0)
+        shift = np.where(over, excess, 0.0) / a_sq
+        out = np.positive(xs, out=out)
+        return np.subtract(xs, shift[:, None] * a, out=out, where=over[:, None])
+    return halfspace
 
 
 def retract(cset, x, p) -> np.ndarray:

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import (ConfigError, DivergenceError, EvaluationError,
                      InvalidInputError, ShapeError, UnsupportedRetractionError)
 from .maps import (Certificate, Feasibility, Mapping, certificate_feasibility,
-                   evaluate, evaluate_rows_unchecked)
-from .sets import (ConvexSet, RetractionMode, retract, retract_rows,
+                   evaluate, has_black_box, rows_kernel)
+from .sets import (ConvexSet, RetractionMode, retract, retraction_kernel,
                    retraction_support)
 from .spaces import SpaceSpec, as_vector, norm_rows, p_norm
 
@@ -230,53 +230,77 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     iterate or evaluator failure raises DivergenceError carrying the
     trace so far. Trace rows are (iteration, step_norm, residual).
 
-    Arguments are validated once, up front. The loop advances blocks of
-    1, 2, 4, ... iterates, at most K = _block_size(n), into one buffer,
-    then norms every step |x_j - x_{j+1}| and size |x_j| of the block in
-    one norm_rows call and settles the stop tests and trace rows in
-    order. norm_rows reduces rows apart (the one-row reduce at n >= 8, an
-    exact column fold below), so every number, the trace and the final
-    point have the bits of a loop that norms each iterate alone.
-    An advance writes Bx, then x - lam * Bx, into two preallocated rows
-    through the row kernels' and ufuncs' out= arguments, and retracts
-    straight into the next buffer row; a box clamp has np.clip's bits.
-    It makes one finiteness check, on x - lam * Bx, which a non-finite
-    Bx always makes non-finite; Bx only names the failure.
+    Arguments are validated once, up front, and the map and retraction
+    kernels (maps.rows_kernel, sets.retraction_kernel) are bound once per
+    solve. The loop advances blocks of 1, 2, 4, ... iterates, at most
+    K = _block_size(n), into one buffer, then norms every step
+    |x_j - x_{j+1}| and size |x_j| of the block in one norm_rows call and
+    settles the stop tests and trace rows in order. norm_rows reduces
+    rows apart (the one-row reduce at n >= 8, an exact column fold
+    below), so every number, the trace and the final point have the bits
+    of a loop that norms each iterate alone. An advance writes Bx, then
+    x - lam * Bx, into the block's preallocated (K, n) rows through the
+    kernels' and ufuncs' out= arguments, and retracts straight into the
+    next buffer row; a box clamp has np.clip's bits.
+
+    Divergence is tested on the images x - lam * Bx, which a non-finite
+    Bx always makes non-finite; Bx only names the failure. An affine
+    chain has no side effects, so its block is advanced in full and
+    tested once, and the first non-finite image ends it. A map with a
+    BlackBox (maps.has_black_box) is tested after every advance instead,
+    so B is never evaluated past a failure. A failed block's rows before
+    the failure are settled first: DivergenceError is raised only if none
+    of them stops.
 
     A block may advance past the stop, by fewer iterates than came
     before it and at most K - 1; they are dropped, though a black-box
-    map sees the calls. A failed advance ends its block, whose rows are
-    settled first: DivergenceError is raised only if none of them
-    stops, and B is never evaluated past the failure.
+    map sees the calls.
     """
     lam = _check_step(lam)
     check_stopping_rule(tol, max_iter)
     if certification is Certification.HILBERT and problem.cert is None:
         raise InvalidInputError("hilbert certification needs a certificate")
     n, p = problem.space.n, problem.space.p
-    cset, mapping = problem.cset, problem.mapping
+    evaluate_into = rows_kernel(problem.mapping)
+    retract_into = retraction_kernel(problem.cset, p)
+    per_advance = has_black_box(problem.mapping)
     block = _block_size(n)
     xs = np.empty((block + 1, n))    # x_j, then the block's new iterates
     pairs = np.empty((2 * block, n))  # the block's steps, then its sizes
+    bxs, images = np.empty((block, n)), np.empty((block, n))  # Bx, x - lam Bx
+    finite = np.empty((block, n), dtype=bool)
     rows = [xs[i:i + 1] for i in range(block + 1)]
-    bx, image = np.empty((1, n)), np.empty((1, n))   # Bx and x - lam * Bx
-    finite = np.empty((1, n), dtype=bool)
+    bx_rows = [bxs[i:i + 1] for i in range(block)]
+    image_rows = [images[i:i + 1] for i in range(block)]
     trace: list[tuple[int, float, float]] = []
 
-    def advance(x, out):
-        """Write G(x) into out, for one-row arrays."""
-        try:
-            evaluate_rows_unchecked(mapping, x, out=bx)
-        except EvaluationError as exc:
-            raise DivergenceError(str(exc)) from exc
-        np.multiply(bx, lam, out=image)
-        np.subtract(x, image, out=image)
+    def non_finite(start, stop):
+        """The failure (index, message, cause) of the first non-finite
+        image in rows start to stop, or None."""
         # counted rather than .all(), which goes through a Python wrapper
-        if np.count_nonzero(np.isfinite(image, out=finite)) < n:
-            raise DivergenceError(
-                "iterate became non-finite" if np.isfinite(bx).all()
-                else "mapping produced non-finite output")
-        retract_rows(cset, image, p, out=out)
+        if np.count_nonzero(np.isfinite(images[start:stop],
+                                        out=finite[start:stop])) \
+                == (stop - start) * n:
+            return None
+        i = start + int(np.argmin(finite[start:stop].all(axis=1)))
+        return i, ("iterate became non-finite" if np.isfinite(bxs[i]).all()
+                   else "mapping produced non-finite output"), None
+
+    def advance_block(count):
+        """Advance rows[0] count times; the failure (index, message,
+        cause) of the first failed advance, or None."""
+        for i in range(count):
+            x, bx, image = rows[i], bx_rows[i], image_rows[i]
+            try:
+                evaluate_into(x, bx)
+            except EvaluationError as exc:
+                return i, str(exc), exc
+            np.multiply(bx, lam, out=image)
+            np.subtract(x, image, out=image)
+            if per_advance and (failure := non_finite(i, i + 1)):
+                return failure
+            retract_into(image, rows[i + 1])
+        return None if per_advance else non_finite(0, count)
 
     def orbit():
         """(x_j, |x_j - x_{j+1}|, |x_j|) for j = 0 to max_iter, computed a
@@ -284,30 +308,26 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
         base, length = 0, 1   # orbit index of xs[0]; iterates to advance
         while True:
             count = min(length, max_iter + 1 - base)
-            failure = None
-            for i in range(count):
-                try:
-                    advance(rows[i], rows[i + 1])
-                except DivergenceError as exc:
-                    failure, count = exc, i
-                    break
+            failure = advance_block(count)
+            if failure is not None:
+                count = failure[0]
             np.subtract(xs[:count], xs[1:count + 1], out=pairs[:count])
             pairs[count:2 * count] = xs[:count]
             norms = norm_rows(pairs[:2 * count], p).tolist()
             for i in range(count):
                 yield xs[i], norms[i], norms[count + i]
             if failure is not None:
-                raise DivergenceError(str(failure), trace=trace) \
-                    from failure.__cause__
+                raise DivergenceError(failure[1], trace=trace) from failure[2]
             base += count
             if base > max_iter:
                 return
             xs[0] = xs[count]
             length = min(2 * length, block)
 
-    # overflow in the loop is divergence, reported by advance, not a warning
+    # overflow in the loop is divergence, reported by the finiteness tests,
+    # not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        xs[0] = retract(cset, as_vector(x0, n, name="x0"), p)
+        xs[0] = retract(problem.cset, as_vector(x0, n, name="x0"), p)
         points = orbit()
         _, step, size = next(points)
         status = SolveStatus.ITERATION_LIMIT

@@ -132,7 +132,9 @@ def norm_rows(xs: np.ndarray, p: float) -> np.ndarray:
     modulus before exponentiation so large entries do not overflow. A row
     with a NaN has a NaN norm, and any other row with an infinite entry
     has norm inf."""
-    mags = np.abs(np.asarray(xs, dtype=float))
+    # C-order moduli: numpy sums a row of 8 or more entries in another
+    # order when the array is in F order, so every layout gets C's bits
+    mags = np.abs(np.asarray(xs, dtype=float), order="C")
     m = _row_max(mags)
     zero = m == 0.0
     s = _power_sums(mags, m, p)
@@ -157,15 +159,17 @@ def pairing(f, x) -> float:
 
 
 def pairing_rows(fs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Row-wise pairing of two equally shaped 2-d arrays."""
-    return _row_sum(np.asarray(fs, float) * np.asarray(xs, float))
+    """Row-wise pairing of two equally shaped 2-d arrays. The products are
+    summed in C order whatever the layout of the inputs."""
+    return _row_sum(np.multiply(np.asarray(fs, float), np.asarray(xs, float),
+                                order="C"))
 
 
 def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
     """J(x) and |x|_p of each row of a 2-d array, in one pass over |x|.
     The Hilbert case skips the norms (None) unless `with_norms` is set."""
     xs = np.asarray(xs, dtype=float)
-    mags = np.abs(xs)
+    mags = np.abs(xs, order="C")  # C-order sums, as in norm_rows
     m = _row_max(mags)
     zero = m == 0.0
     # J is homogeneous of degree 1, so each row is rescaled by an exact
@@ -212,9 +216,8 @@ def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
         if big.any():
             m_big = frac[big][:, None]
             t = np.abs(scaled[big]) / m_big
-            # summed again on the rescued rows' own (C-order) copy: numpy
-            # sums a row of 8 or more entries in another order when the
-            # array is in F order, and these are the copy's bits
+            # summed again over the rescued rows' own t, as the two-pass
+            # formula summed them
             s = _row_sum(t ** p)[:, None]
             out[big] = (m_big * t ** (p - 1.0) * s ** (2.0 / p - 1.0)
                         * np.sign(scaled[big]))

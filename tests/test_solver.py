@@ -1,4 +1,7 @@
+import io
+import json
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,7 +14,10 @@ from lpvi import (Affine, Ball, BlackBox, Box, Certificate, Certification,
                   contraction_factor_sq, hilbert_factor_sq,
                   hilbert_rule_factor, hilbert_step_interval, picard_solve, select_lambda, solve,
                   strict_step_intervals, vi_residual)
+from lpvi import cli
 from lpvi import solver as solver_module
+from lpvi.config import load_config
+from lpvi.maps import rows_kernel
 from lpvi.spaces import p_norm
 
 SQRT2 = 1.4142135623730951
@@ -409,9 +415,10 @@ def test_picard_divergence_messages_and_partial_trace(mapping, lam, message):
     assert info.value.trace == ref.value.trace
 
 
-def test_picard_takes_one_norm_call_and_one_finiteness_check_per_iteration(
-        monkeypatch):
-    calls = {"norm_rows": 0, "map": 0, "isfinite": 0}
+@pytest.mark.parametrize("kind", ["affine", "black-box"])
+def test_picard_binds_its_kernels_and_checks_finiteness_per_block(
+        monkeypatch, kind):
+    calls = {"norm_rows": 0, "map": 0, "checks": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -419,25 +426,39 @@ def test_picard_takes_one_norm_call_and_one_finiteness_check_per_iteration(
             return func(*args, **kwargs)
         return wrapper
 
+    def counted_kernel(mapping):
+        kernel = rows_kernel(mapping)
+
+        def wrapper(xs, out=None):
+            calls["map"] += 1
+            return kernel(xs, out)
+        return wrapper
+
+    def isfinite(*args, **kwargs):
+        # the loop's checks write into its own mask; validation's do not
+        calls["checks"] += "out" in kwargs
+        return real_isfinite(*args, **kwargs)
+
+    real_isfinite = np.isfinite
     monkeypatch.setattr(solver_module, "norm_rows",
                         counted("norm_rows", solver_module.norm_rows))
-    monkeypatch.setattr(solver_module, "evaluate_rows_unchecked",
-                        counted("map", solver_module.evaluate_rows_unchecked))
-    monkeypatch.setattr(np, "isfinite", counted("isfinite", np.isfinite))
-    prob = Problem(SpaceSpec(3, 3.0), Box([0.0] * 3, [1.0] * 3),
-                   Affine(np.eye(3), [-0.5, -0.5, -0.5]))
-    seen = []
+    monkeypatch.setattr(solver_module, "rows_kernel", counted_kernel)
+    monkeypatch.setattr(np, "isfinite", isfinite)
+    mapping = (Affine(np.eye(3), [-0.5, -0.5, -0.5]) if kind == "affine"
+               else BlackBox(lambda x: x - 0.5, 3))
+    prob = Problem(SpaceSpec(3, 3.0), Box([0.0] * 3, [1.0] * 3), mapping)
     for max_iter in (10, 30):
-        calls.update(norm_rows=0, map=0, isfinite=0)
+        calls.update(norm_rows=0, map=0, checks=0)
         rep = picard_solve(prob, 0.01, [1.0, 1.0, 1.0], max_iter=max_iter)
         assert rep.iterations == max_iter
         # one norm call per block; blocks of 1, 2, 4, 8 and 16 iterates
         # hold the 11 after x_0 in four blocks and the 31 in five
-        assert calls["norm_rows"] == {10: 4, 30: 5}[max_iter]
+        blocks = {10: 4, 30: 5}[max_iter]
+        assert calls["norm_rows"] == blocks
         assert calls["map"] == max_iter + 1
-        seen.append(calls["isfinite"])
-    # twenty more iterations, twenty more checks; the rest is validation
-    assert seen[1] - seen[0] == 20
+        # an affine block is checked once; a black box after every advance
+        assert calls["checks"] == (blocks if kind == "affine"
+                                   else max_iter + 1)
 
 
 def assert_matches_reference(make_problem, lam, x0, tol, max_iter):
@@ -546,6 +567,125 @@ def test_picard_failure_past_the_stop(bad, good_calls):
         assert rep is None
     # B is never evaluated past the failing call
     assert calls[0] == good_calls + 1
+
+
+def _doubling_problem(n, fail_at, message, cset):
+    """An affine map whose iterates double each advance, from an x0 set so
+    that advance fail_at is the first whose image is not finite: B = -I
+    at lam 1 (Bx stays finite, the iterate overflows) or B = -4I at lam
+    1/4 (Bx overflows first). Returns (problem, lam, x0)."""
+    rng = np.random.default_rng([n, fail_at])
+    # one entry far above the rest, so the norms stay finite at n = 1000
+    x0 = np.ldexp(rng.uniform(0.25, 1.5, n), -12) * rng.choice([-1.0, 1.0], n)
+    x0[n // 2] = 1.5
+    if message == "iterate became non-finite":
+        factor, lam, top = -1.0, 1.0, 1023 - fail_at
+    else:
+        factor, lam, top = -4.0, 0.25, 1022 - fail_at
+    # x_j has entries up to 1.5 2^(top + j); 2 x_j (and -4 x_j) first
+    # overflow at j = fail_at
+    return (Problem(SpaceSpec(n, 3.0), cset, Affine(factor * np.eye(n))),
+            lam, np.ldexp(x0, top))
+
+
+@pytest.mark.parametrize("message", ["iterate became non-finite",
+                                     "mapping produced non-finite output"])
+@pytest.mark.parametrize("n", [2, 1000])
+def test_affine_divergence_at_every_position_in_a_block(n, message):
+    # advances 0 to 31 cover every position of the blocks of 1, 2, 4, 8
+    # and 16 at n = 2 and the blocks of 4 at n = 1000; in the box, the
+    # images past the failure clamp back to finite rows, which the block
+    # must not trust either
+    big = np.finfo(float).max
+    for cset in (WholeSpace(n), Box([-big] * n, [big] * n)):
+        for fail_at in range(32):
+            prob, lam, x0 = _doubling_problem(n, fail_at, message, cset)
+            with pytest.raises(DivergenceError) as ref:
+                reference_picard_solve(prob, lam, x0, max_iter=100)
+            with pytest.raises(DivergenceError) as info:
+                picard_solve(prob, lam, x0, max_iter=100)
+            assert str(info.value) == str(ref.value) == message
+            assert info.value.trace == ref.value.trace
+            assert len(info.value.trace) == max(fail_at - 1, 0)
+            assert info.value.__cause__ is None
+
+
+@pytest.mark.parametrize("bad", ["nan", "raise"])
+@pytest.mark.parametrize("good_calls", range(2 * BLOCK_AT_N2 + 3))
+def test_picard_residual_over_a_failing_black_box(good_calls, bad):
+    # B = I - T with T(x) = x / 2 + shift a black box: the map calls out,
+    # so every advance is checked and T is never called past its failure
+    calls = [0]
+    shift = np.array([0.25, -0.5])
+
+    def func(x):
+        calls[0] += 1
+        if calls[0] <= good_calls:
+            return 0.5 * x + shift
+        if bad == "raise":
+            raise RuntimeError("gave out")
+        return np.full(2, np.nan)
+
+    def make_problem():
+        calls[0] = 0
+        return Problem(SpaceSpec(2, 3.0), Box([-1.0, -1.0], [1.0, 1.0]),
+                       ResidualOfContraction(BlackBox(func, 2), 0.5))
+
+    rep = assert_matches_reference(make_problem, 1.0, [1.0, 1.0], tol=1e-8,
+                                   max_iter=10 ** 6)
+    if rep is None:
+        assert calls[0] == good_calls + 1
+    else:
+        # a failure past the stop is settled, as in the test above
+        assert rep.status is SolveStatus.CONVERGED
+        assert calls[0] <= good_calls + 1
+
+
+LONG_CLAMPED_SOLVE = """
+    [space]
+    n = 2
+    p = {p}
+
+    [set]
+    kind = box
+    lo = -1 -1
+    hi = 1 1
+
+    [map]
+    kind = affine
+    matrix = 0.001 0
+             0 0.001
+    offset = -0.0015 -0.0002
+
+    [solver]
+    x0 = 0.9 -0.3
+    lambda = 1
+"""
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_long_clamped_cli_solve_writes_the_reference_bytes(p, tmp_path,
+                                                           capsys):
+    # B = 0.001 (x - c) with c = (1.5, 0.2) outside the box: the first
+    # coordinate is clamped at 1 from iteration 183 on while the second
+    # closes in by a factor 0.999 per step, so blocks run full for
+    # over 10^4 iterations
+    config = tmp_path / "long.ini"
+    config.write_text(textwrap.dedent(LONG_CLAMPED_SOLVE.format(p=p)))
+    out = tmp_path / "trace.csv"
+    assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    cfg = load_config(str(config))
+    point, iterations, residual, status, trace = reference_picard_solve(
+        cfg.problem, 1.0, cfg.solver.x0)
+    assert status is SolveStatus.CONVERGED and iterations >= 10 ** 4
+    assert point[0] == 1.0
+    expected = io.StringIO()
+    cli._write_trace(expected, trace)
+    assert out.read_bytes() == expected.getvalue().encode()
+    assert record["final_point"] == cli._vec(point)
+    assert (record["iterations"], record["final_residual"],
+            record["status"]) == (iterations, residual, status.value)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])

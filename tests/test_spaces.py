@@ -123,16 +123,17 @@ def test_row_kernels_match_axis_reductions_bit_for_bit(p, n):
     for rows in (1, 3, 1200):
         xs = awkward_rows(rng, rows, n)
         ys = awkward_rows(rng, rows, n)
+        # F-order rows must give the bits of the C-order reference
         for a in (xs, np.asfortranarray(xs)):
-            assert same_bits(norm_rows(a, p), axis_norm_rows(a, p))
+            assert same_bits(norm_rows(a, p), axis_norm_rows(xs, p))
             assert same_bits(duality_map_rows(a, p),
-                             axis_duality_map_rows(a, p))
+                             axis_duality_map_rows(xs, p))
             js, norms = duality_norm_rows(a, p)
-            assert same_bits(js, axis_duality_map_rows(a, p))
-            assert same_bits(norms, axis_norm_rows(a, p))
+            assert same_bits(js, axis_duality_map_rows(xs, p))
+            assert same_bits(norms, axis_norm_rows(xs, p))
             with np.errstate(over="ignore", invalid="ignore"):  # 1e300^2
                 assert same_bits(pairing_rows(a, ys),
-                                 axis_pairing_rows(a, ys))
+                                 axis_pairing_rows(xs, ys))
 
 
 @pytest.mark.parametrize("n", [*range(10, 65), 257, 1000])
@@ -144,6 +145,25 @@ def test_hilbert_path_matches_the_general_formula_bit_for_bit(n):
         for a in (xs, np.asfortranarray(xs)):
             assert same_bits(duality_map_rows(a, 2.0),
                              axis_duality_map_rows(a, 2.0))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [8, 9, 64, 257])
+def test_every_layout_gets_the_bits_of_c_order(n, p):
+    # numpy sums a row of 8 or more entries in another order when the
+    # array is not C-contiguous; the kernels sum C-order copies
+    rng = np.random.default_rng([n, int(p * 10), 8])
+    wide = rng.standard_normal((300, 2 * n))
+    wide *= 10.0 ** rng.uniform(-8.0, 8.0, size=(300, 1))
+    xs, ys = np.ascontiguousarray(wide[:, ::2]), wide[:, 1::2].copy()
+    js, norms = duality_norm_rows(xs, p)
+    for a in (np.asfortranarray(xs), wide[:, ::2]):
+        assert same_bits(norm_rows(a, p), norm_rows(xs, p))
+        assert same_bits(duality_map_rows(a, p), duality_map_rows(xs, p))
+        got_js, got_norms = duality_norm_rows(a, p)
+        assert same_bits(got_js, js) and same_bits(got_norms, norms)
+        assert same_bits(pairing_rows(a, np.asfortranarray(ys)),
+                         pairing_rows(xs, ys))
 
 
 @pytest.mark.parametrize("row, expected", [
@@ -346,7 +366,7 @@ def test_duality_map_rows_keeps_its_bits_up_to_p_1000(p, n):
         xs = awkward_rows(rng, rows, n)
         for a in (xs, np.asfortranarray(xs)):
             assert same_bits(duality_map_rows(a, p),
-                             axis_duality_map_rows(a, p))
+                             axis_duality_map_rows(xs, p))
 
 
 def two_pass_duality_map_rows(xs, p):
