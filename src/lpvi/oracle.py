@@ -37,7 +37,7 @@ from .maps import evaluate_rows
 from .sets import bounding_box, members_mask
 from .solver import Problem
 from .spaces import (as_vector, check_exponent, duality_map_rows,
-                     duality_norm_rows, norm_rows, pairing_rows)
+                     duality_norm_rows, norm_rows, pairing_rows, row_blocks)
 
 MAX_GRID_DIM = 3
 MAX_SCREEN_PAIRS = 20_000_000_000
@@ -181,7 +181,7 @@ def _pairing_slack_rows(xs: np.ndarray, ys: np.ndarray, p: float):
     jx, nx = duality_norm_rows(xs, p)
     jy, ny = duality_norm_rows(ys, p)
     # J(y) is freed right after J(x) - J(y), and J(x) - J(y) after its
-    # pairing, so J(d) is the only (pairs, n) map alive when it is made
+    # pairing, so J(d) is the only (rows, n) map alive when it is made
     jx -= jy
     del jy
     cross = pairing_rows(jx, d)
@@ -213,7 +213,7 @@ class PairingSweep:
 
 
 def pairing_inequality_sweep(p, n: int, pairs: int, seed: int) -> PairingSweep:
-    """Seeded random sweep of check_pairing_inequality, vectorized.
+    """Seeded random sweep of check_pairing_inequality over row blocks.
 
     Pairs are drawn uniformly in [-5, 5]^n and then stretched by a random
     power of ten per pair so several magnitudes are probed. The margin is
@@ -221,6 +221,11 @@ def pairing_inequality_sweep(p, n: int, pairs: int, seed: int) -> PairingSweep:
     magnitudes. The first pair is pinned to x = 0, where the slack is
     exactly 0 when J(0) = 0; it is reported on its own, and the minimum
     margin is taken over the other pairs.
+
+    The pairs are drawn whole, in one seeded stream; the slack chain then
+    runs one block of about 2^15 entries at a time (spaces.row_blocks), so
+    its temporaries stay block-sized. Every kernel in it is row-local, so
+    each figure has the bits of one pass over all the pairs.
     """
     p = check_exponent(p)
     if n < 1 or pairs < 2:
@@ -234,7 +239,9 @@ def pairing_inequality_sweep(p, n: int, pairs: int, seed: int) -> PairingSweep:
     xs *= stretch
     ys *= stretch
     xs[0] = 0.0  # pin one degenerate endpoint; J(0) = 0 must hold too
-    slack, nx, ny = _pairing_slack_rows(xs, ys, p)
+    slack, nx, ny = np.empty((3, pairs))
+    for b in row_blocks(pairs, n):
+        slack[b], nx[b], ny[b] = _pairing_slack_rows(xs[b], ys[b], p)
     margin = slack / (1.0 + nx * ny)
     i = 1 + int(np.argmin(margin[1:]))
     return PairingSweep(min_margin=float(margin[i]), worst_x=xs[i].copy(),

@@ -92,8 +92,14 @@ class Halfspace:
 
     def __post_init__(self):
         a = as_vector(self.normal, name="normal")
-        if not np.any(a != 0.0):
-            raise InvalidInputError("halfspace normal must be nonzero")
+        # the retraction divides by <a, a>: a zero, subnormal or infinite
+        # square would send it off the set or to NaN
+        with np.errstate(over="ignore", under="ignore"):
+            a_sq = np.dot(a, a)
+        if not np.finfo(float).tiny <= a_sq < np.inf:
+            raise InvalidInputError(
+                f"halfspace normal {a.tolist()} must be nonzero, with a"
+                f" squared norm that is a finite normal float, got {a_sq}")
         b = float(self.offset)
         if not np.isfinite(b):
             raise InvalidInputError("halfspace offset must be finite")

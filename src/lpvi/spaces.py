@@ -113,6 +113,21 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1)
 
 
+# row_blocks cuts an array into row blocks of about this many entries, so
+# each step of a row kernel chain writes a buffer the allocator reuses
+# instead of a large fresh array whose pages fault in on first touch
+_ROW_BLOCK_ELEMS = 1 << 15
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering rows 0 .. rows - 1 of a (rows, width) array in
+    order, each block holding about 2^15 entries (at least one row). The
+    row kernels reduce each row on its own, so a chain of them run block
+    by block gives the bits of one call over all the rows."""
+    step = max(1, _ROW_BLOCK_ELEMS // max(width, 1))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def _power_sums(mags: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
     """sum_i (mags_i / m)^p for each row of the moduli `mags`, m their row
     max. Works in place: `mags` ends up holding the powers, and m is 1 on

@@ -655,3 +655,25 @@ def test_oracle_accepted_rows_print_as_floats(tmp_path, capsys):
     rows = json.dumps([[float(v) for v in row] for row in sol.accepted])
     assert f'"accepted": {rows}' in out
     assert json.dumps(_vec(np.array([1, 2]))) == "[1.0, 2.0]"
+
+
+@pytest.mark.parametrize("normal", ["1e-170 0", "1e170 0"])
+def test_halfspace_normal_with_no_float_square_is_a_config_error(tmp_path,
+                                                                 capsys,
+                                                                 normal):
+    cfg = write(tmp_path, f"""
+        [space]
+        n = 2
+        p = 2
+        [set]
+        kind = halfspace
+        normal = {normal}
+        offset = 0
+        [map]
+        kind = affine
+        matrix = 1 0 0 1
+    """)
+    code, out, err = run(capsys, "check-map", "--config", cfg)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "[set]: halfspace normal" in err
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,26 @@ def test_retract_rows_into_out_matches_a_fresh_result(cset):
     assert got.base is buf
     assert np.array_equal(_bits(got), _bits(retract_rows(cset, xs, 2.0)))
     assert (buf[[0, -1]] == 7.0).all()
+
+
+@pytest.mark.parametrize("scale, square", [(1e-170, "0.0"), (1e-160, "1e-320"),
+                                           (1e170, "inf")])
+def test_halfspace_refuses_a_normal_whose_square_leaves_the_normal_floats(
+        scale, square):
+    # <a, a> underflows to 0 or a subnormal, or overflows: the retraction
+    # would divide by it and leave the set or return NaN
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"normal [{scale!r}, 0.0] must be nonzero")) as info:
+        Halfspace([scale, 0.0], 0.0)
+    assert str(info.value).endswith(f"got {square}")
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_halfspace_with_an_extreme_normal_retracts_into_the_set(scale):
+    unit = Halfspace([1.0, -2.0], 0.5)
+    hs = Halfspace([scale, -2.0 * scale], 0.5 * scale)
+    for x in np.random.default_rng(0).uniform(-5.0, 5.0, size=(50, 2)):
+        q = retract(hs, x, 2)
+        assert contains(hs, q, tol=1e-12 * scale)
+        np.testing.assert_allclose(q, retract(unit, x, 2), rtol=1e-12,
+                                   atol=1e-12)
