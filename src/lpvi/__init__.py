@@ -22,9 +22,9 @@ from .sets import (Ball, Box, ConvexSet, Halfspace, RetractionMode,
                    retract, retraction_support, sample_in_set,
                    verify_characterization, verify_sunny)
 from .solver import (Certification, Problem, SolveReport, SolveStatus,
-                     contraction_factor_sq, hilbert_factor_sq,
-                     hilbert_rule_factor, hilbert_step_interval, picard_solve,
-                     select_lambda, solve, strict_step_intervals, vi_residual)
+                     hilbert_factor_sq, hilbert_rule_factor,
+                     hilbert_step_interval, picard_solve, select_lambda, solve,
+                     strict_step_intervals, vi_residual)
 from .spaces import (SpaceSpec, dual_exponent, duality_map, p_norm, pairing)
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ Exit codes:
   3  iteration limit reached before convergence
   4  divergence (non-finite iterates)
   5  unsupported space / set / oracle combination
+  141  stdout closed early by its reader (broken pipe; SIGPIPE's shell status)
 
 The default seed for every seeded command is 0, overridable by the
 LPVI_SEED environment variable and per-run by --seed. With the same
@@ -393,7 +394,14 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # reader gone: send stdout to devnull so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

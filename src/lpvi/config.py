@@ -327,10 +327,6 @@ def load_config(path: str) -> LoadedConfig:
             _fail("oracle", "grid", "value is empty")
         grid = tuple(_int(tok, "oracle", "grid") for tok in toks)
 
-    try:
-        problem = Problem(space, cset, mapping, cert)
-    except (ShapeError, InvalidInputError) as exc:
-        raise ConfigError(str(exc)) from exc
-    # UnsupportedRetractionError propagates untouched
-
+    # Problem can only refuse the retraction here; that error propagates
+    problem = Problem(space, cset, mapping, cert)
     return LoadedConfig(problem=problem, solver=solver, check=check, grid=grid)

@@ -13,8 +13,8 @@ found", not "holds".
 
 Evaluation has one kernel per kind of map, bound once by
 rows_kernel(mapping): a loop calls the function it returns, with no
-dispatch per call. evaluate_rows_unchecked applies it once, and
-evaluate_rows and evaluate add the finiteness check and validation.
+dispatch per call. evaluate_rows applies it once and adds the finiteness
+check, and evaluate adds the validation of its vector.
 """
 
 from __future__ import annotations
@@ -100,16 +100,10 @@ def evaluate(mapping, x) -> np.ndarray:
 
 def evaluate_rows(mapping, xs: np.ndarray) -> np.ndarray:
     """Evaluate B on each row, guaranteeing finite output."""
-    out = evaluate_rows_unchecked(mapping, np.asarray(xs, dtype=float))
+    out = rows_kernel(mapping)(np.asarray(xs, dtype=float))
     if not np.isfinite(out).all():
         raise EvaluationError("mapping produced non-finite output")
     return out
-
-
-def evaluate_rows_unchecked(mapping, xs: np.ndarray, *, out=None) -> np.ndarray:
-    """B on each row of a float array, which may come out non-finite:
-    rows_kernel(mapping) applied once."""
-    return rows_kernel(mapping)(xs, out)
 
 
 def rows_kernel(mapping) -> Callable[..., np.ndarray]:
@@ -310,8 +304,6 @@ class Feasibility(str, Enum):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    strict_condition_holds: bool
-    consistency_bound_ok: bool
     verdict: Feasibility
 
 
@@ -331,14 +323,8 @@ def certificate_feasibility(cert: Certificate) -> FeasibilityReport:
     v > fl(u mu^2 + 5 mu) >= fl(u mu^2 + mu) makes v inconsistent.
     """
     u, v, mu = cert.u, cert.v, cert.mu
-    strict = v > u * mu * mu + 5.0 * mu
-    consistent = v <= mu + u * mu * mu
-    if not consistent:
-        verdict = Feasibility.INCONSISTENT
-    elif v > u * mu * mu:
-        verdict = Feasibility.HILBERT_ONLY
-    else:
-        verdict = Feasibility.UNCERTIFIED
-    return FeasibilityReport(strict_condition_holds=strict,
-                             consistency_bound_ok=consistent,
-                             verdict=verdict)
+    if not v <= mu + u * mu * mu:
+        return FeasibilityReport(Feasibility.INCONSISTENT)
+    if v > u * mu * mu:
+        return FeasibilityReport(Feasibility.HILBERT_ONLY)
+    return FeasibilityReport(Feasibility.UNCERTIFIED)

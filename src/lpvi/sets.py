@@ -180,10 +180,10 @@ def _normal_products(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (xs[:, None, :] @ a)[:, 0]
 
 
-def retract_rows(cset, xs: np.ndarray, p, *, out=None) -> np.ndarray:
+def retract_rows(cset, xs: np.ndarray, p) -> np.ndarray:
     """retract on each row of a 2-d array, without validation:
     retraction_kernel(cset, p) applied once."""
-    return retraction_kernel(cset, p)(np.asarray(xs, dtype=float), out)
+    return retraction_kernel(cset, p)(np.asarray(xs, dtype=float))
 
 
 def retraction_kernel(cset, p) -> Callable[..., np.ndarray]:

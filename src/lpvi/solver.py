@@ -13,11 +13,11 @@ Step-size certification comes in two regimes, both driven by a
                  where bound = (v - u mu^2 - 5 mu) / mu^2. Valid in any
                  lp space, but no consistent certificate reaches it (see
                  certificate_feasibility), so select_lambda never picks
-                 it; its intervals and factor are kept as the record of
-                 the rule.
+                 it; strict_step_intervals is kept as the record of the
+                 rule.
   hilbert rule   p = 2 only; admissible lam in (0, 2 (v - u mu^2) / mu^2),
-                 the classical cocoercive-descent window, with midpoint
-                 lam = (v - u mu^2) / mu^2 as the automatic choice.
+                 the cocoercive-descent window of hilbert_step_interval,
+                 with midpoint (v - u mu^2) / mu^2 as the automatic lam.
 
 An explicit user lam is always accepted and marked uncertified.
 """
@@ -25,6 +25,7 @@ An explicit user lam is always accepted and marked uncertified.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -110,11 +111,16 @@ def strict_step_intervals(cert: Certificate) -> list[tuple[float, float]]:
 
 
 def hilbert_step_interval(cert: Certificate) -> tuple[float, float] | None:
-    """Admissible open window (0, 2 (v - u mu^2) / mu^2) at p = 2, or None."""
+    """Admissible open window (0, 2 (v - u mu^2) / mu^2) at p = 2, or None
+    when v <= u mu^2, when mu^2 is not a finite normal float (the rule
+    Halfspace applies to its normal) or when the step underflows to 0."""
+    mu2 = cert.mu * cert.mu
+    # (u mu) mu, as certificate_feasibility rounds it, not u mu2
     excess = cert.v - cert.u * cert.mu * cert.mu
-    if excess <= 0.0:
+    if not (excess > 0.0 and sys.float_info.min <= mu2 < math.inf):
         return None
-    return (0.0, 2.0 * excess / (cert.mu * cert.mu))
+    step = excess / mu2
+    return (0.0, 2.0 * step) if step > 0.0 else None
 
 
 def _check_step(lam) -> float:
@@ -123,20 +129,6 @@ def _check_step(lam) -> float:
     if not np.isfinite(lam) or lam <= 0.0:
         raise InvalidInputError(f"step size must be positive and finite, got {lam}")
     return lam
-
-
-def contraction_factor_sq(cert: Certificate, lam: float) -> float:
-    """Squared contraction factor 1 - lam (v - u mu^2 - 5 mu) + lam^2 mu^2.
-
-    This is the expanded form of 1 - lam mu^2 (bound - lam) with bound as
-    in strict_step_intervals; values below 1 certify geometric decay of
-    the strict rule. Can exceed 1 (no certification) or go negative
-    (hypotheses empty at those constants; see hilbert_rule_factor for the
-    classical example).
-    """
-    lam = _check_step(lam)
-    u, v, mu = cert.u, cert.v, cert.mu
-    return 1.0 - lam * (v - u * mu * mu - 5.0 * mu) + lam * lam * mu * mu
 
 
 def hilbert_rule_factor(r: float = 1.0, gamma: float = 1.0, s: float = 1.0,
@@ -174,9 +166,9 @@ def select_lambda(problem: Problem, lam: float | None = None
 
     An explicit lam wins and is marked uncertified. Otherwise the
     certificate decides: inconsistent certificates are refused outright,
-    and the Hilbert rule applies when p = 2 (no consistent certificate
-    meets the strict rule). No applicable rule is a configuration error
-    asking for an explicit step size.
+    and at p = 2 the step is the midpoint of hilbert_step_interval's
+    window (no consistent certificate meets the strict rule). No window
+    is a configuration error asking for an explicit step size.
     """
     if lam is not None:
         lam = float(lam)
@@ -186,15 +178,14 @@ def select_lambda(problem: Problem, lam: float | None = None
     if problem.cert is None:
         raise ConfigError(
             "no step size: supply lambda explicitly or attach a certificate")
-    report = certificate_feasibility(problem.cert)
-    if report.verdict is Feasibility.INCONSISTENT:
+    if certificate_feasibility(problem.cert).verdict is Feasibility.INCONSISTENT:
         raise ConfigError(
             "certificate is inconsistent (v > mu + u mu^2 is impossible for"
             " any mapping); refusing to auto-select a step size")
-    # the hilbert-only verdict is v > u mu^2, hilbert_step_interval's test
-    if problem.space.p == 2.0 and report.verdict is Feasibility.HILBERT_ONLY:
-        c = problem.cert
-        return (c.v - c.u * c.mu * c.mu) / (c.mu * c.mu), Certification.HILBERT
+    if problem.space.p == 2.0:
+        window = hilbert_step_interval(problem.cert)
+        if window is not None:
+            return window[1] / 2.0, Certification.HILBERT
     raise ConfigError(
         "certificate does not certify a step size for this space;"
         " supply lambda explicitly")

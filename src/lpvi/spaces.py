@@ -167,10 +167,10 @@ def p_norm(x, p) -> float:
 
 
 def pairing(f, x) -> float:
-    """Apply the functional with coefficients f to the vector x: sum_i f_i x_i."""
+    """sum_i f_i x_i, with the bits of pairing_rows on one row."""
     f = as_vector(f, name="f")
     x = as_vector(x, dim=f.shape[0])
-    return float(np.dot(f, x))
+    return float(pairing_rows(f[None, :], x[None, :])[0])
 
 
 def pairing_rows(fs: np.ndarray, xs: np.ndarray) -> np.ndarray:

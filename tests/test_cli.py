@@ -152,6 +152,28 @@ def test_solve_refuses_auto_step_from_inconsistent_certificate(tmp_path, capsys)
     assert out == ""
 
 
+@pytest.mark.parametrize("u, v, mu", [
+    pytest.param("1", "5e-171", "1e-170", id="mu2-zero"),
+    pytest.param("1", "5e-161", "1e-160", id="mu2-subnormal"),
+    pytest.param("1e-320", "2", "1e160", id="mu2-inf"),
+    pytest.param("1e-323", "4.5e-323", "2", id="step-underflow"),
+])
+def test_a_certificate_without_a_representable_step_exits_2_with_no_file(
+        tmp_path, capsys, u, v, mu):
+    text = BOX_IDENTITY.replace("u = 0.1\n    v = 1\n    mu = 1",
+                                f"u = {u}\n    v = {v}\n    mu = {mu}")
+    cfg = write(tmp_path, text)
+    message = ("error: certificate does not certify a step size for this"
+               " space; supply lambda explicitly\n")
+    trace = tmp_path / "t.csv"
+    code, out, err = run(capsys, "solve", "--config", cfg, "--out", str(trace))
+    assert (code, out, err) == (2, "", message)
+    assert not trace.exists()
+    # the oracle asks the solver once its grid has a verdict to compare
+    code, out, err = run(capsys, "oracle", "--config", cfg, "--grid", "5,5")
+    assert (code, out, err) == (2, "", message)
+
+
 def test_solve_requires_x0(tmp_path, capsys):
     cfg = write(tmp_path, BOX_IDENTITY.replace("x0 = 2 2", ""))
     code, _, err = run(capsys, "solve", "--config", cfg,
@@ -231,6 +253,32 @@ def test_solve_malformed_config(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--config", cfg,
                        "--out", str(tmp_path / "t.csv"))
     assert code == 2 and "required section" in err
+
+
+def test_solve_refuses_a_map_the_config_cannot_build(tmp_path, capsys):
+    text = BOX_IDENTITY.replace(
+        "kind = affine\n    matrix = 1 0\n             0 1",
+        "kind = residual\n    alpha = 1.5\n    t_matrix = 1 0 0 1")
+    cfg = write(tmp_path, text)
+    code, out, err = run(capsys, "solve", "--config", cfg,
+                         "--out", str(tmp_path / "t.csv"))
+    assert (code, out) == (2, "")
+    assert err == "error: [map]: contraction constant must be in [0, 1), got 1.5\n"
+
+
+def test_solve_refuses_an_ini_line_without_a_delimiter(tmp_path, capsys):
+    cfg = write(tmp_path, BOX_IDENTITY.replace("n = 2", "n 2"))
+    code, out, err = run(capsys, "solve", "--config", cfg,
+                         "--out", str(tmp_path / "t.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed config {cfg!r}: ")
+    assert "Traceback" not in err
+
+
+def test_oracle_refuses_an_empty_grid_key(tmp_path, capsys):
+    cfg = write(tmp_path, BOX_IDENTITY + "\n    [oracle]\n    grid =\n")
+    code, out, err = run(capsys, "oracle", "--config", cfg)
+    assert (code, out, err) == (2, "", "error: [oracle] grid: value is empty\n")
 
 
 def test_check_map_no_violation(tmp_path, capsys):
@@ -402,6 +450,37 @@ def test_oracle_skips_when_everything_is_accepted(tmp_path, capsys):
     assert len(record["accepted"]) == 121
 
 
+def test_oracle_fails_when_it_accepts_no_grid_point(tmp_path, capsys):
+    # B = 100 (x - (0.375, 0.625)) vanishes between the points of a 3 x 3
+    # grid on [0, 1]^2, and every point has a rival it pairs below -h
+    text = """
+        [space]
+        n = 2
+        p = 2
+
+        [set]
+        kind = box
+        lo = 0 0
+        hi = 1 1
+
+        [map]
+        kind = affine
+        matrix = 100 0
+                 0 100
+        offset = -37.5 -62.5
+
+        [solver]
+        lambda = 0.005
+    """
+    cfg = write(tmp_path, text)
+    code, out, err = run(capsys, "oracle", "--config", cfg, "--grid", "3,3")
+    assert (code, err) == (1, "")
+    record = json.loads(out)
+    assert record["agreement"] == "fail: oracle accepted no grid point"
+    assert record["accepted"] == [] and record["searched"] == 9
+    assert "solver_point" not in record
+
+
 def test_oracle_refuses_unbounded_sets(tmp_path, capsys):
     text = BOX_IDENTITY.replace(
         "kind = box\n    lo = 1 1\n    hi = 2 2", "kind = whole_space")
@@ -457,6 +536,27 @@ def test_module_entry_point_runs_in_a_subprocess():
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_reader_that_closes_early_gets_status_141_and_no_traceback(
+        unbuffered):
+    # stdout is a pipe whose read end is closed before the child starts,
+    # so its first write (unbuffered) or its flush at exit meets EPIPE
+    src = str(Path(lpvi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lpvi", "verify",
+                               "pairing", "--count", "2000"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def _break_kernel(monkeypatch, kernel):

@@ -7,7 +7,7 @@ from lpvi import (Ball, Box, Halfspace, InvalidInputError, RetractionMode,
                   ShapeError, UnsupportedRetractionError, WholeSpace,
                   bounding_box, contains, retract, retraction_support,
                   sample_in_set, verify_characterization, verify_sunny)
-from lpvi.sets import members_mask, retract_rows
+from lpvi.sets import members_mask, retract_rows, retraction_kernel
 from lpvi.spaces import norm_rows
 
 
@@ -324,7 +324,7 @@ def test_box_clamp_has_np_clip_bits_at_signed_zeros_and_nan(n, rows, order):
     want = np.clip(xs, lo, hi)
     assert np.array_equal(_bits(retract_rows(box, xs, 2.0)), _bits(want))
     out = np.empty_like(xs)
-    assert retract_rows(box, xs, 2.0, out=out) is out
+    assert retraction_kernel(box, 2.0)(xs, out) is out
     assert np.array_equal(_bits(out), _bits(want))
 
 
@@ -334,7 +334,7 @@ def test_retract_rows_into_out_matches_a_fresh_result(cset):
     xs = np.array([[-0.0, 0.0], [3.0, 2.0], [-1.0, 0.0], [-5.0, 0.0],
                    [0.6, -0.8], [3.0, 4.0]])
     buf = np.full((xs.shape[0] + 2, 2), 7.0)
-    got = retract_rows(cset, xs, 2.0, out=buf[1:-1])
+    got = retraction_kernel(cset, 2.0)(xs, buf[1:-1])
     assert got.base is buf
     assert np.array_equal(_bits(got), _bits(retract_rows(cset, xs, 2.0)))
     assert (buf[[0, -1]] == 7.0).all()

@@ -1,18 +1,23 @@
 import io
 import json
 import math
+import sys
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpvi import (Affine, Ball, BlackBox, Box, Certificate, Certification,
-                  ConfigError, DivergenceError, EvaluationError, Halfspace,
+                  ConfigError, DivergenceError, EvaluationError, Feasibility,
+                  Halfspace,
                   InvalidInputError, Problem, ResidualOfContraction,
                   ShapeError, SolveStatus, SpaceSpec,
-                  UnsupportedRetractionError, WholeSpace, contains, evaluate,
-                  contraction_factor_sq, hilbert_factor_sq,
-                  hilbert_rule_factor, hilbert_step_interval, picard_solve, select_lambda, solve,
+                  UnsupportedRetractionError, WholeSpace,
+                  certificate_feasibility, contains, evaluate,
+                  hilbert_factor_sq, hilbert_rule_factor,
+                  hilbert_step_interval, picard_solve, select_lambda, solve,
                   strict_step_intervals, vi_residual)
 from lpvi import cli
 from lpvi import solver as solver_module
@@ -69,26 +74,6 @@ def test_hilbert_interval():
     assert hilbert_step_interval(Certificate(1.0, 0.5, 1.0)) is None
     win = hilbert_step_interval(Certificate(0.01, 1.0, 0.1))
     assert win[1] == pytest.approx(199.98, rel=1e-12)
-
-
-def test_contraction_factor_values():
-    assert contraction_factor_sq(Certificate(1.0, 10.0, 1.0), 0.1) == 0.61
-    assert contraction_factor_sq(Certificate(0.1, 1.0, 1.0), 0.9) == 5.5
-    assert contraction_factor_sq(Certificate(1.0, 10.0, 1.0), 1e-300) == 1.0
-    with pytest.raises(InvalidInputError):
-        contraction_factor_sq(Certificate(1.0, 10.0, 1.0), 0.0)
-
-
-def test_contraction_factor_matches_factored_form():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        u, v, mu = 10.0 ** rng.uniform(-1, 1, size=3)
-        lam = 10.0 ** rng.uniform(-2, 1)
-        cert = Certificate(u, v, mu)
-        bound = (v - u * mu * mu - 5.0 * mu) / (mu * mu)
-        factored = 1.0 - lam * mu * mu * (bound - lam)
-        expanded = contraction_factor_sq(cert, lam)
-        assert abs(expanded - factored) <= 1e-12 * (1.0 + abs(expanded))
 
 
 def test_hilbert_factor_clipping():
@@ -149,6 +134,65 @@ def test_select_lambda_uncertified_certificate_rejected():
     prob = box_problem(cert=Certificate(1.0, 0.5, 1.0))   # v <= u mu^2
     with pytest.raises(ConfigError):
         select_lambda(prob)
+
+
+# consistent, Hilbert-only certificates with no representable step: mu^2
+# is 0.0, subnormal or inf, or the step (v - u mu^2) / mu^2 underflows
+NO_STEP_CERTIFICATES = [
+    pytest.param(1.0, 5e-171, 1e-170, id="mu2-zero"),
+    pytest.param(1.0, 5e-161, 1e-160, id="mu2-subnormal"),
+    pytest.param(1e-320, 2.0, 1e160, id="mu2-inf"),
+    pytest.param(1e-323, 4.5e-323, 2.0, id="step-underflow"),
+]
+
+
+@pytest.mark.parametrize("u, v, mu", NO_STEP_CERTIFICATES)
+def test_a_certificate_without_a_representable_step_certifies_none(u, v, mu):
+    cert = Certificate(u, v, mu)
+    assert certificate_feasibility(cert).verdict is Feasibility.HILBERT_ONLY
+    assert hilbert_step_interval(cert) is None
+    with pytest.raises(ConfigError, match="does not certify a step size"):
+        select_lambda(box_problem(cert))
+
+
+def _midpoint_or_refusal(u, mu, t):
+    """select_lambda at p = 2 on the certificate (u, u mu^2 + t mu, mu):
+    (v - u mu^2) / (mu mu) bit for bit where mu^2 is a finite normal
+    float and that step is positive; otherwise refused."""
+    v = u * mu * mu + t * mu
+    if not 0.0 < v < math.inf:
+        return
+    cert = Certificate(u, v, mu)
+    if certificate_feasibility(cert).verdict is Feasibility.INCONSISTENT:
+        return   # t mu rounded v over the consistency bound
+    normal = sys.float_info.min <= mu * mu < math.inf
+    step = (v - u * mu * mu) / (mu * mu) if normal else 0.0
+    if step > 0.0:
+        lam, certification = select_lambda(box_problem(cert))
+        assert lam.hex() == step.hex()
+        assert certification is Certification.HILBERT
+    else:
+        with pytest.raises(ConfigError, match="does not certify a step size"):
+            select_lambda(box_problem(cert))
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                     allow_infinity=False)
+
+
+@given(u=positive, mu=positive, t=st.floats(0.0, 1.0, exclude_min=True))
+@settings(max_examples=1000, deadline=None)
+def test_select_lambda_is_the_midpoint_bit_for_bit(u, mu, t):
+    _midpoint_or_refusal(u, mu, t)
+
+
+def test_select_lambda_is_the_midpoint_bit_for_bit_on_seeded_certificates():
+    rng = np.random.default_rng(14)
+    u = 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+    mu = 10.0 ** rng.uniform(-160.0, 160.0, 20_000)
+    t = rng.uniform(0.0, 1.0, 20_000)
+    for args in zip(u.tolist(), mu.tolist(), t.tolist()):
+        _midpoint_or_refusal(*args)
 
 
 def test_picard_identity_on_shifted_box():
@@ -230,6 +274,12 @@ def test_picard_validates_inputs():
         picard_solve(box_problem(), lam=0.5, x0=[1.5, 1.5], tol=0.0)
     with pytest.raises(InvalidInputError):
         picard_solve(box_problem(), lam=0.5, x0=[1.5, 1.5], max_iter=0)
+
+
+def test_picard_hilbert_certification_needs_a_certificate():
+    with pytest.raises(InvalidInputError, match="needs a certificate"):
+        picard_solve(box_problem(), lam=0.5, x0=[1.5, 1.5],
+                     certification=Certification.HILBERT)
 
 
 def test_vi_residual_example():
