@@ -10,10 +10,10 @@ from .errors import (ConfigError, DivergenceError, EstimationError,
                      ResourceError, ShapeError, UnsupportedOracleError,
                      UnsupportedRetractionError, UnsupportedSpaceError)
 from .maps import (Affine, BlackBox, Certificate, Feasibility,
-                   FeasibilityReport, LipschitzEstimate, Mapping,
+                   FeasibilityReport, LipschitzEstimate, Mapping, PairSample,
                    ResidualOfContraction, SlackReport, certificate_feasibility,
                    check_relaxed_cocoercive, check_strongly_monotone,
-                   estimate_lipschitz, evaluate)
+                   draw_pairs, estimate_lipschitz, evaluate)
 from .oracle import (GridSolution, GridSpec, PairingSweep,
                      check_pairing_inequality, grid_bounds, grid_vi_solve,
                      pairing_inequality_sweep)

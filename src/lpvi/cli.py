@@ -36,7 +36,7 @@ from .errors import (ConfigError, DivergenceError, EstimationError,
                      UnsupportedRetractionError, UnsupportedSpaceError)
 from .maps import (Feasibility, certificate_feasibility,
                    check_relaxed_cocoercive, check_strongly_monotone,
-                   estimate_lipschitz)
+                   draw_pairs, estimate_lipschitz)
 from .oracle import (GridSpec, grid_bounds, grid_vi_solve,
                      pairing_inequality_sweep)
 from .sets import bounding_box
@@ -140,9 +140,9 @@ def cmd_check_map(args) -> int:
     if cfg.check.bounds is None and bounding_box(problem.cset) is None:
         raise EstimationError(
             "set is unbounded: add [check] bounds_lo / bounds_hi to sample it")
-    common = dict(region=problem.cset, p=problem.space.p, sample_pairs=pairs,
-                  seed=seed, bounds=cfg.check.bounds)
-    estimate = estimate_lipschitz(problem.mapping, **common)
+    sample = draw_pairs(problem.mapping, problem.cset, problem.space.p, pairs,
+                        seed, bounds=cfg.check.bounds)
+    estimate = estimate_lipschitz(sample)
     record = {
         "mu_hat": estimate.mu_hat,
         "pairs": estimate.pairs_used,
@@ -155,9 +155,8 @@ def cmd_check_map(args) -> int:
     else:
         cert = problem.cert
         feas = certificate_feasibility(cert)
-        coco = check_relaxed_cocoercive(problem.mapping, u=cert.u, v=cert.v,
-                                        **common)
-        strong = check_strongly_monotone(problem.mapping, v=cert.v, **common)
+        coco = check_relaxed_cocoercive(sample, u=cert.u, v=cert.v)
+        strong = check_strongly_monotone(sample, v=cert.v)
         slack_tol = 1e-9 * (1.0 + coco.max_sq_sep)
         record.update({
             "certificate": {"u": cert.u, "v": cert.v, "mu": cert.mu},

@@ -6,10 +6,11 @@ relaxed (u, v)-cocoercivity
     <Bx - By, j(x - y)> >= -u |Bx - By|^2 + v |x - y|^2
 
 together with mu-Lipschitz continuity. Certificates are claims supplied by
-the caller; the check_* functions here probe them on seeded sample pairs
-and report the worst slack found. A sampling check can falsify a claim,
-never prove it, which is why the verdict vocabulary is "no violation
-found", not "holds".
+the caller. draw_pairs draws seeded pairs once and forms |x - y|_p,
+|Bx - By|_p and <Bx - By, j(x - y)>; estimate_lipschitz and the check_*
+probes are arithmetic over that one sample and report the worst ratio or
+slack found. A sampling check can falsify a claim, never prove it, which
+is why the verdict vocabulary is "no violation found", not "holds".
 
 Evaluation has one kernel per kind of map, bound once by
 rows_kernel(mapping): a loop calls the function it returns, with no
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import EstimationError, EvaluationError, InvalidInputError, ShapeError
 from .sets import bounding_box, sample_in_set
-from .spaces import (as_vector, check_exponent, duality_map_rows, norm_rows,
+from .spaces import (as_vector, check_exponent, duality_norm_rows, norm_rows,
                      pairing_rows)
 
 
@@ -160,17 +161,37 @@ def has_black_box(mapping) -> bool:
     return isinstance(mapping, BlackBox)
 
 
-def _sample_pairs(region, pairs: int, seed: int, bounds):
+@dataclass(frozen=True, eq=False)
+class PairSample:
+    """The non-degenerate pairs of one seeded draw, with what the probes read."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    seps: np.ndarray
+    image_seps: np.ndarray
+    pairings: np.ndarray
+    degenerate_skipped: int
+
+
+def draw_pairs(mapping, region, p, pairs: int, seed: int,
+               bounds=None) -> PairSample:
+    """Draw seeded pairs from the region (or `bounds`, which an unbounded one
+    needs), drop those with |x - y|_p < 1e-12 and form the probes' inputs."""
+    p = check_exponent(p)
     if pairs < 1:
         raise InvalidInputError(f"sample_pairs must be >= 1, got {pairs}")
     if bounds is None and bounding_box(region) is None:
         raise EstimationError(
             "region is unbounded: supply a bounds box for sampling")
     pts = sample_in_set(region, 2 * pairs, seed, bounds=bounds)
-    return pts[0::2], pts[1::2]
-
-
-_DEGENERATE = 1e-12
+    xs, ys = pts[0::2], pts[1::2]
+    jd, seps = duality_norm_rows(xs - ys, p)
+    valid = seps >= 1e-12
+    if not np.any(valid):
+        raise EstimationError("all sampled pairs were degenerate (x == y)")
+    dbs = evaluate_rows(mapping, xs)[valid] - evaluate_rows(mapping, ys)[valid]
+    return PairSample(xs[valid], ys[valid], seps[valid], norm_rows(dbs, p),
+                      pairing_rows(dbs, jd[valid]), int(np.sum(~valid)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,56 +219,36 @@ class SlackReport:
     witness_y: np.ndarray
 
 
-def _paired_data(mapping, region, p, sample_pairs, seed, bounds):
-    p = check_exponent(p)
-    xs, ys = _sample_pairs(region, sample_pairs, seed, bounds)
-    seps = norm_rows(xs - ys, p)
-    valid = seps >= _DEGENERATE
-    if not np.any(valid):
-        raise EstimationError("all sampled pairs were degenerate (x == y)")
-    bxs = evaluate_rows(mapping, xs)
-    bys = evaluate_rows(mapping, ys)
-    return p, xs[valid], ys[valid], bxs[valid] - bys[valid], seps[valid], int(np.sum(~valid))
-
-
-def estimate_lipschitz(mapping, region, p, sample_pairs: int, seed: int,
-                       bounds=None) -> LipschitzEstimate:
-    """Estimate the Lipschitz constant of B on a region from seeded pairs.
-
-    Returns the max ratio |Bx - By|_p / |x - y|_p over nondegenerate
-    sampled pairs. Chunked sampling makes the estimate monotone in
-    sample_pairs for a fixed seed.
-    """
-    p, xs, ys, dbs, seps, skipped = _paired_data(
-        mapping, region, p, sample_pairs, seed, bounds)
-    ratios = norm_rows(dbs, p) / seps
+def estimate_lipschitz(sample: PairSample) -> LipschitzEstimate:
+    """The largest ratio |Bx - By|_p / |x - y|_p in the sample; monotone in
+    the pairs drawn for a fixed seed, as a larger draw extends a smaller one."""
+    ratios = sample.image_seps / sample.seps
     i = int(np.argmax(ratios))
     return LipschitzEstimate(
         mu_hat=float(ratios[i]),
-        pairs_used=int(seps.shape[0]),
-        degenerate_skipped=skipped,
-        witness_x=xs[i].copy(),
-        witness_y=ys[i].copy(),
+        pairs_used=int(sample.seps.shape[0]),
+        degenerate_skipped=sample.degenerate_skipped,
+        witness_x=sample.xs[i].copy(),
+        witness_y=sample.ys[i].copy(),
     )
 
 
-def _slack_report(slacks, xs, ys, seps, skipped) -> SlackReport:
+def _slack_report(slacks, sample: PairSample) -> SlackReport:
     i = int(np.argmin(slacks))
     return SlackReport(
         worst_slack=float(slacks[i]),
         slacks=slacks,
         pairs_used=int(slacks.shape[0]),
-        degenerate_skipped=skipped,
-        min_sq_sep=float(np.min(seps) ** 2),
-        max_sq_sep=float(np.max(seps) ** 2),
-        witness_x=xs[i].copy(),
-        witness_y=ys[i].copy(),
+        degenerate_skipped=sample.degenerate_skipped,
+        min_sq_sep=float(np.min(sample.seps) ** 2),
+        max_sq_sep=float(np.max(sample.seps) ** 2),
+        witness_x=sample.xs[i].copy(),
+        witness_y=sample.ys[i].copy(),
     )
 
 
-def check_relaxed_cocoercive(mapping, region, u, v, p, sample_pairs: int,
-                             seed: int, bounds=None) -> SlackReport:
-    """Probe relaxed (u, v)-cocoercivity on seeded sample pairs.
+def check_relaxed_cocoercive(sample: PairSample, u, v) -> SlackReport:
+    """Probe relaxed (u, v)-cocoercivity on a sample.
 
     Per-pair slack: <Bx - By, j(x - y)> + u |Bx - By|^2 - v |x - y|^2.
     A clearly negative worst slack falsifies the claim at the witness pair.
@@ -255,26 +256,19 @@ def check_relaxed_cocoercive(mapping, region, u, v, p, sample_pairs: int,
     u, v = float(u), float(v)
     if u <= 0.0 or v <= 0.0:
         raise InvalidInputError("cocoercivity constants u, v must be positive")
-    p, xs, ys, dbs, seps, skipped = _paired_data(
-        mapping, region, p, sample_pairs, seed, bounds)
-    jd = duality_map_rows(xs - ys, p)
-    slacks = (pairing_rows(dbs, jd)
-              + u * norm_rows(dbs, p) ** 2
-              - v * seps ** 2)
-    return _slack_report(slacks, xs, ys, seps, skipped)
+    slacks = (sample.pairings
+              + u * sample.image_seps ** 2
+              - v * sample.seps ** 2)
+    return _slack_report(slacks, sample)
 
 
-def check_strongly_monotone(mapping, region, v, p, sample_pairs: int,
-                            seed: int, bounds=None) -> SlackReport:
+def check_strongly_monotone(sample: PairSample, v) -> SlackReport:
     """Probe v-strong monotonicity: <Bx - By, j(x - y)> >= v |x - y|^2."""
     v = float(v)
     if v <= 0.0:
         raise InvalidInputError("strong monotonicity constant v must be positive")
-    p, xs, ys, dbs, seps, skipped = _paired_data(
-        mapping, region, p, sample_pairs, seed, bounds)
-    jd = duality_map_rows(xs - ys, p)
-    slacks = pairing_rows(dbs, jd) - v * seps ** 2
-    return _slack_report(slacks, xs, ys, seps, skipped)
+    slacks = sample.pairings - v * sample.seps ** 2
+    return _slack_report(slacks, sample)
 
 
 @dataclass(frozen=True)

@@ -89,37 +89,41 @@ class SolveReport:
     trace: list = field(default_factory=list)
 
 
+def _normal_square(x: float) -> float | None:
+    """x * x, or None unless it is a finite normal float."""
+    x2 = x * x
+    return x2 if sys.float_info.min <= x2 < math.inf else None
+
+
 def strict_step_intervals(cert: Certificate) -> list[tuple[float, float]]:
     """Open intervals of lam admissible under the strict (two-sided) rule.
 
-    Empty when v <= u mu^2 + 5 mu. Otherwise the base window is
-    (0, bound) with bound = (v - u mu^2 - 5 mu) / mu^2, intersected with
-    lam mu^2 (bound - lam) < 1. That quadratic cap only bites when its
-    peak mu^2 bound^2 / 4 reaches 1, in which case the window splits at
-    the roots of lam^2 - bound lam + 1/mu^2.
+    Empty unless mu^2 is a finite normal float and bound = (v - u mu^2 -
+    5 mu) / mu^2 is positive and finite. The window (0, bound) meets the
+    cap lam mu^2 (bound - lam) < 1, which splits it at h -+ sqrt(h^2 - s^2)
+    once h = bound / 2 reaches s = 1 / mu: the small root as s^2 over the
+    large, with no square formed, and the large as bound minus the small.
+    Windows that round empty are dropped.
     """
-    u, v, mu = cert.u, cert.v, cert.mu
-    mu2 = mu * mu
-    bound = (v - u * mu2 - 5.0 * mu) / mu2
-    if bound <= 0.0:
+    mu, mu2 = cert.mu, _normal_square(cert.mu)
+    bound = 0.0 if mu2 is None else (cert.v - cert.u * mu2 - 5.0 * mu) / mu2
+    if not 0.0 < bound < math.inf:
         return []
-    disc = bound * bound - 4.0 / mu2
-    if disc < 0.0:
+    half, s = bound / 2.0, 1.0 / mu
+    if half < s:
         return [(0.0, bound)]
-    root = math.sqrt(disc)
-    return [(0.0, (bound - root) / 2.0), ((bound + root) / 2.0, bound)]
+    small = s / (half + math.sqrt(half - s) * math.sqrt(half + s)) * s
+    return [(a, b) for a, b in ((0.0, small), (bound - small, bound)) if a < b]
 
 
 def hilbert_step_interval(cert: Certificate) -> tuple[float, float] | None:
     """Admissible open window (0, 2 (v - u mu^2) / mu^2) at p = 2, or None
     when v <= u mu^2, when mu^2 is not a finite normal float (the rule
     Halfspace applies to its normal) or when the step underflows to 0."""
-    mu2 = cert.mu * cert.mu
+    mu2 = _normal_square(cert.mu)
     # (u mu) mu, as certificate_feasibility rounds it, not u mu2
-    excess = cert.v - cert.u * cert.mu * cert.mu
-    if not (excess > 0.0 and sys.float_info.min <= mu2 < math.inf):
-        return None
-    step = excess / mu2
+    step = (0.0 if mu2 is None
+            else (cert.v - cert.u * cert.mu * cert.mu) / mu2)
     return (0.0, 2.0 * step) if step > 0.0 else None
 
 

@@ -275,6 +275,24 @@ def test_solve_refuses_an_ini_line_without_a_delimiter(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("    hi = 2 2\n", "", "[set] hi: required key is missing"),
+    ("matrix = 1 0\n             0 1", "matrix = 1 0 0 inf",
+     "[map]: matrix contains non-finite entries"),
+    ("kind = box\n    lo = 1 1\n    hi = 2 2",
+     "kind = halfspace\n    normal = 1 0\n    offset = inf",
+     "[set]: halfspace offset must be finite"),
+])
+def test_solve_refuses_a_set_or_map_the_config_cannot_build(tmp_path, capsys,
+                                                           old, new, message):
+    assert old in BOX_IDENTITY
+    cfg = write(tmp_path, BOX_IDENTITY.replace(old, new))
+    out_path = tmp_path / "t.csv"
+    code, out, err = run(capsys, "solve", "--config", cfg, "--out", str(out_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
 def test_oracle_refuses_an_empty_grid_key(tmp_path, capsys):
     cfg = write(tmp_path, BOX_IDENTITY + "\n    [oracle]\n    grid =\n")
     code, out, err = run(capsys, "oracle", "--config", cfg)
@@ -342,6 +360,27 @@ def test_check_map_unbounded_set_needs_bounds(tmp_path, capsys):
     code, out, _ = run(capsys, "check-map", "--config", cfg2)
     assert code == 0
     assert json.loads(out)["mu_hat"] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_check_map_draws_its_pairs_once(tmp_path, capsys, monkeypatch):
+    # the Lipschitz, cocoercivity and strong-monotonicity probes read one
+    # sample: one draw, B once on each side of the pairs, one J(x - y)
+    calls = {"sample_in_set": 0, "evaluate_rows": 0, "duality": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name, key in ((lpvi.maps, "sample_in_set", "sample_in_set"),
+                              (lpvi.maps, "evaluate_rows", "evaluate_rows"),
+                              (lpvi.spaces, "_duality_rows", "duality")):
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    cfg = write(tmp_path, BOX_IDENTITY)
+    code, out, _ = run(capsys, "check-map", "--config", cfg)
+    assert code == 0 and json.loads(out)["verdict"] == "hilbert-only"
+    assert calls == {"sample_in_set": 1, "evaluate_rows": 2, "duality": 1}
 
 
 def test_check_map_seed_precedence(tmp_path, capsys, monkeypatch):

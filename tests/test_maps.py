@@ -9,9 +9,11 @@ from lpvi import (Affine, BlackBox, Box, Certificate, EstimationError,
                   EvaluationError, Feasibility, InvalidInputError,
                   ResidualOfContraction, ShapeError, WholeSpace,
                   certificate_feasibility, check_relaxed_cocoercive,
-                  check_strongly_monotone, estimate_lipschitz, evaluate)
+                  check_strongly_monotone, draw_pairs, estimate_lipschitz,
+                  evaluate)
 from lpvi.maps import evaluate_rows, rows_kernel
-from lpvi.spaces import p_norm
+from lpvi.sets import sample_in_set
+from lpvi.spaces import duality_map_rows, norm_rows, p_norm, pairing_rows
 
 BOX = Box([-1.0, -1.0], [1.0, 1.0])
 
@@ -92,7 +94,8 @@ def test_affine_must_be_square():
 
 
 def test_lipschitz_scaled_identity():
-    est = estimate_lipschitz(Affine(-2.5 * np.eye(2)), BOX, 2, 500, seed=1)
+    est = estimate_lipschitz(
+        draw_pairs(Affine(-2.5 * np.eye(2)), BOX, 2, 500, seed=1))
     assert est.mu_hat == pytest.approx(2.5, rel=1e-12)
     assert est.pairs_used == 500
     wit = p_norm(evaluate(Affine(-2.5 * np.eye(2)), est.witness_x)
@@ -102,19 +105,20 @@ def test_lipschitz_scaled_identity():
 
 def test_lipschitz_residual_of_contraction():
     b = ResidualOfContraction(Affine(0.5 * np.eye(3)), 0.5)
-    est = estimate_lipschitz(b, Box([-1.0] * 3, [1.0] * 3), 2, 400, seed=2)
+    est = estimate_lipschitz(
+        draw_pairs(b, Box([-1.0] * 3, [1.0] * 3), 2, 400, seed=2))
     assert est.mu_hat == pytest.approx(0.5, rel=1e-12)
 
 
 def test_lipschitz_diagonal_converges_to_top_singular_value():
     b = Affine(np.diag([2.0, 3.0]))
-    est = estimate_lipschitz(b, BOX, 2, 100_000, seed=0)
+    est = estimate_lipschitz(draw_pairs(b, BOX, 2, 100_000, seed=0))
     assert 2.9 <= est.mu_hat <= 3.0 + 1e-9
 
 
 def test_lipschitz_monotone_in_sample_count():
     b = Affine(np.diag([2.0, 3.0]))
-    vals = [estimate_lipschitz(b, BOX, 2, n, seed=3).mu_hat
+    vals = [estimate_lipschitz(draw_pairs(b, BOX, 2, n, seed=3)).mu_hat
             for n in (100, 1000, 10_000)]
     assert vals[0] <= vals[1] <= vals[2]
 
@@ -122,68 +126,86 @@ def test_lipschitz_monotone_in_sample_count():
 def test_lipschitz_degenerate_region():
     point = Box([1.0, 1.0], [1.0, 1.0])
     with pytest.raises(EstimationError):
-        estimate_lipschitz(_identity(), point, 2, 50, seed=0)
+        draw_pairs(_identity(), point, 2, 50, seed=0)
 
 
 def test_lipschitz_unbounded_region_needs_bounds():
     with pytest.raises(EstimationError):
-        estimate_lipschitz(_identity(), WholeSpace(2), 2, 50, seed=0)
-    est = estimate_lipschitz(_identity(), WholeSpace(2), 2, 50, seed=0,
-                             bounds=([-1.0, -1.0], [1.0, 1.0]))
+        draw_pairs(_identity(), WholeSpace(2), 2, 50, seed=0)
+    sample = draw_pairs(_identity(), WholeSpace(2), 2, 50, seed=0,
+                        bounds=([-1.0, -1.0], [1.0, 1.0]))
+    est = estimate_lipschitz(sample)
     assert est.mu_hat == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cocoercive_identity_holds():
-    rep = check_relaxed_cocoercive(_identity(), BOX, u=0.1, v=1.0, p=2,
-                                   sample_pairs=2000, seed=4)
+    sample = draw_pairs(_identity(), BOX, 2, 2000, seed=4)
+    rep = check_relaxed_cocoercive(sample, u=0.1, v=1.0)
     # slack is exactly 0.1 |x - y|^2 for the identity at p = 2
     assert rep.worst_slack >= 0.1 * rep.min_sq_sep - 1e-12
     assert rep.pairs_used + rep.degenerate_skipped == 2000
 
 
 def test_cocoercive_false_claim_is_falsified():
-    rep = check_relaxed_cocoercive(_identity(), BOX, u=0.1, v=2.0, p=2,
-                                   sample_pairs=2000, seed=4)
+    sample = draw_pairs(_identity(), BOX, 2, 2000, seed=4)
+    rep = check_relaxed_cocoercive(sample, u=0.1, v=2.0)
     assert rep.worst_slack <= -0.8 * rep.max_sq_sep
 
 
 def test_cocoercive_at_p3():
-    rep = check_relaxed_cocoercive(_identity(), BOX, u=0.1, v=1.0, p=3,
-                                   sample_pairs=2000, seed=5)
+    sample = draw_pairs(_identity(), BOX, 3, 2000, seed=5)
+    rep = check_relaxed_cocoercive(sample, u=0.1, v=1.0)
     assert rep.worst_slack >= -1e-9
 
 
 def test_strongly_monotone_identity():
-    rep = check_strongly_monotone(_identity(), BOX, v=1.0, p=2,
-                                  sample_pairs=2000, seed=6)
+    sample = draw_pairs(_identity(), BOX, 2, 2000, seed=6)
+    rep = check_strongly_monotone(sample, v=1.0)
     assert abs(rep.worst_slack) <= 1e-9 * (1.0 + rep.max_sq_sep)
 
 
 def test_strongly_monotone_violated_by_negated_identity():
-    rep = check_strongly_monotone(Affine(-np.eye(2)), BOX, v=1.0, p=2,
-                                  sample_pairs=2000, seed=6)
+    sample = draw_pairs(Affine(-np.eye(2)), BOX, 2, 2000, seed=6)
+    rep = check_strongly_monotone(sample, v=1.0)
     assert rep.worst_slack <= -2.0 * rep.max_sq_sep + 1e-12
 
 
 def test_strong_monotonicity_implies_cocoercivity_samplewise():
     b = Affine([[1.0, 0.3], [-0.3, 1.0]])
-    coco = check_relaxed_cocoercive(b, BOX, u=0.25, v=0.9, p=2,
-                                    sample_pairs=3000, seed=7)
-    strong = check_strongly_monotone(b, BOX, v=0.9, p=2,
-                                     sample_pairs=3000, seed=7)
+    sample = draw_pairs(b, BOX, 2, 3000, seed=7)
+    coco = check_relaxed_cocoercive(sample, u=0.25, v=0.9)
+    strong = check_strongly_monotone(sample, v=0.9)
     assert coco.slacks.shape == strong.slacks.shape
     assert np.all(coco.slacks >= strong.slacks)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_draw_pairs_forms_each_quantity_with_its_kernels_bits(p):
+    b = Affine([[1.0, 0.3, 0.0], [-0.3, 1.0, 2.0], [0.5, 0.0, -1.0]])
+    # in a cube this small, some pairs are degenerate (|x - y|_p < 1e-12)
+    cube = Box([0.0, 0.0, 0.0], [1e-12, 1e-12, 1e-12])
+    sample = draw_pairs(b, cube, p, 400, seed=8)
+    pts = sample_in_set(cube, 800, 8)
+    diffs = pts[0::2] - pts[1::2]
+    keep = norm_rows(diffs, p) >= 1e-12
+    dbs = evaluate_rows(b, pts[0::2][keep]) - evaluate_rows(b, pts[1::2][keep])
+    assert np.array_equal(sample.xs, pts[0::2][keep])
+    assert np.array_equal(sample.ys, pts[1::2][keep])
+    assert np.array_equal(sample.seps, norm_rows(diffs[keep], p))
+    assert np.array_equal(sample.image_seps, norm_rows(dbs, p))
+    assert np.array_equal(sample.pairings,
+                          pairing_rows(dbs, duality_map_rows(diffs[keep], p)))
+    assert 0 < sample.degenerate_skipped == int(np.sum(~keep)) < 400
+
+
 def test_constant_validation():
+    sample = draw_pairs(_identity(), BOX, 2, 10, seed=0)
     with pytest.raises(InvalidInputError):
-        check_relaxed_cocoercive(_identity(), BOX, u=0.0, v=1.0, p=2,
-                                 sample_pairs=10, seed=0)
+        check_relaxed_cocoercive(sample, u=0.0, v=1.0)
     with pytest.raises(InvalidInputError):
-        check_strongly_monotone(_identity(), BOX, v=-1.0, p=2,
-                                sample_pairs=10, seed=0)
+        check_strongly_monotone(sample, v=-1.0)
     with pytest.raises(InvalidInputError):
-        estimate_lipschitz(_identity(), BOX, 2, 0, seed=0)
+        draw_pairs(_identity(), BOX, 2, 0, seed=0)
 
 
 def test_certificate_requires_positive_finite_constants():

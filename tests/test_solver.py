@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,42 @@ def test_strict_intervals_empty_and_single():
     assert len(ivs) == 1
     lo, hi = ivs[0]
     assert lo == 0.0 and hi == pytest.approx(0.19, rel=1e-12)
+
+
+def test_strict_intervals_at_the_ends_of_the_double_range():
+    # mu^2 underflows to 0, mu^2 overflows, the bound overflows, and a
+    # finite bound whose square overflows
+    assert strict_step_intervals(Certificate(1.0, 5e-171, 1e-170)) == []
+    assert strict_step_intervals(Certificate(1.0, 1e300, 1e160)) == []
+    assert strict_step_intervals(Certificate(1e-300, 1e300, 1e-150)) == []
+    # bound 1e200 and cap lam (1e200 - lam) < 1e100: the small root is
+    # about 1e-100, and the window above the large one rounds empty
+    (ivs,) = strict_step_intervals(Certificate(1e-300, 1e100, 1e-50))
+    assert ivs == (0.0, pytest.approx(1e-100, rel=1e-12))
+
+
+def _strict_windows_hold(u, v, mu):
+    ivs = strict_step_intervals(Certificate(u, v, mu))
+    mu2 = mu * mu
+    normal = sys.float_info.min <= mu2 < math.inf
+    bound = (v - u * mu2 - 5.0 * mu) / mu2 if normal else 0.0
+    assert (ivs == []) == (not 0.0 < bound < math.inf)
+    ends = [end for iv in ivs for end in iv]
+    assert all(math.isfinite(end) for end in ends)
+    assert all(a < b for a, b in ivs) and ends == sorted(ends)
+    assert not ends or (ends[0] == 0.0 and ends[-1] <= bound)
+    # inside each window the cap lam mu^2 (bound - lam) < 1 holds, in exact
+    # arithmetic at the window's midpoint, up to the rounding of its ends
+    for a, b in ivs:
+        lam = (Fraction(a) + Fraction(b)) / 2
+        assert lam * Fraction(mu) ** 2 * (Fraction(bound) - lam) < 1 + 1e-9
+
+
+@given(u=st.floats(-300.0, 300.0), v=st.floats(-300.0, 300.0),
+       mu=st.floats(-300.0, 300.0))
+@settings(max_examples=500, deadline=None)
+def test_strict_intervals_are_finite_ordered_admissible_windows(u, v, mu):
+    _strict_windows_hold(10.0 ** u, 10.0 ** v, 10.0 ** mu)
 
 
 def test_hilbert_interval():
