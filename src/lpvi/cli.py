@@ -7,7 +7,7 @@ Exit codes:
   2  configuration problem (malformed config or flags, inconsistent
      certificate, unusable sampling region, grid over the oracle's work
      caps or with no point inside the set, unwritable --out, nonpositive
-     or infinite tol, nonpositive max_iter)
+     or infinite tol, nonpositive max_iter, a size too large to allocate)
   3  iteration limit reached before convergence
   4  divergence (non-finite iterates)
   5  unsupported space / set / oracle combination
@@ -204,7 +204,10 @@ def _report_line(name: str, value: float, threshold: float, kind: str) -> bool:
 
 
 def cmd_verify(args) -> int:
-    # the factor suite is deterministic; only seeded suites touch the seed
+    # the factor suite is deterministic: no flag could change what it does
+    if args.suite == "factor" and any(
+            flag is not None for flag in (args.seed, args.count, args.p)):
+        raise ConfigError("verify factor takes no --seed, --count or --p")
     seed = None if args.suite == "factor" else _seed_of(args)
     ok = True
     if args.suite == "duality":
@@ -225,8 +228,9 @@ def cmd_verify(args) -> int:
             ok &= _report_line("hilbert degeneration", rep.worst_hilbert,
                                _HILBERT_TOL, "max")
     elif args.suite == "retraction":
+        p_values = args.p if args.p else [1.5, 2.0, 3.0]
         count = args.count if args.count is not None else 10_000
-        rep = retraction_suite(pairs=count, seed=seed)
+        rep = retraction_suite(p_values, pairs=count, seed=seed)
         ok &= _report_line("box sunny deviation", rep.max_box_sunny_dev,
                            0.0, "max")
         ok &= _report_line("hilbert sunny deviation", rep.max_hilbert_sunny_dev,
@@ -278,7 +282,7 @@ def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     problem = cfg.problem
     n = problem.space.n
-    if args.grid:
+    if args.grid is not None:
         counts = tuple(_grid_count(tok)
                        for tok in args.grid.replace(",", " ").split())
     elif cfg.grid is not None:
@@ -389,6 +393,9 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidInputError, ShapeError, EstimationError,
             EvaluationError, ResourceError) as exc:
         _err(exc)
+        return 2
+    except MemoryError as exc:
+        _err(f"out of memory: {exc}" if str(exc) else "out of memory")
         return 2
 
 

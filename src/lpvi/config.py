@@ -257,11 +257,7 @@ def load_config(path: str) -> LoadedConfig:
             _check_keys(cp, section, _SECTIONS[section])
 
     n = _int(_require(cp, "space", "n"), "space", "n")
-    p_text = _require(cp, "space", "p")
-    try:
-        p = float(p_text.strip())
-    except ValueError:
-        _fail("space", "p", f"could not parse a number from {p_text!r}")
+    p = _float(_require(cp, "space", "p"), "space", "p")
     try:
         space = SpaceSpec(n, p)
     except InvalidInputError as exc:

@@ -28,6 +28,7 @@ grid under a near-zero map, where every candidate survives).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,7 @@ class GridSpec:
             raise InvalidInputError("grid needs at least one axis")
         if any(c < 2 for c in counts):
             raise InvalidInputError(f"each axis needs >= 2 points, got {counts}")
-        total = 1
-        for c in counts:
-            total *= c
+        total = math.prod(counts)
         # the screen pairs each grid point in C with each other one, so
         # it forms at most total^2 pairs
         if total * total > MAX_SCREEN_PAIRS:

@@ -256,12 +256,14 @@ def sample_in_set(cset, count: int, seed: int, bounds=None) -> np.ndarray:
     """Draw `count` seeded uniform points from the set, as rows.
 
     Points come from uniform draws over a bounding box, filtered by
-    membership. For unbounded sets a `bounds = (lo, hi)` box must be
-    supplied. Draws happen in fixed-size chunks, so for a given seed the
-    accepted sequence is a prefix of any longer request.
+    membership; an unbounded set needs a `bounds = (lo, hi)` box. Draws
+    stop once `count` points are kept, so for a given seed the accepted
+    sequence is a prefix of any longer request. A count over the budget of
+    _MAX_CHUNKS chunks, or one the region cannot fill in it, is refused.
     """
-    if count < 0:
-        raise InvalidInputError(f"count must be nonnegative, got {count}")
+    budget = _MAX_CHUNKS * _SAMPLE_CHUNK
+    if not 0 <= count <= budget:
+        raise InvalidInputError(f"count must be between 0 and {budget}, got {count}")
     if bounds is None:
         bounds = bounding_box(cset)
         if bounds is None:
@@ -274,21 +276,16 @@ def sample_in_set(cset, count: int, seed: int, bounds=None) -> np.ndarray:
         if not np.all(lo <= hi):
             raise InvalidInputError("bounds box is empty")
     rng = np.random.default_rng(seed)
-    dim = lo.shape[0]
-    kept = []
-    have = 0
-    for _ in range(_MAX_CHUNKS):
-        if have >= count:
-            break
-        cand = rng.uniform(lo, hi, size=(_SAMPLE_CHUNK, dim))
-        good = cand[members_mask(cset, cand)]
-        if good.shape[0]:
-            kept.append(good)
-            have += good.shape[0]
-    else:
-        raise InvalidInputError("sampling region barely intersects the set")
-    if count == 0:
-        return np.empty((0, dim))
+    kept, have, drawn = [np.empty((0, lo.shape[0]))], 0, 0
+    while have < count and drawn < budget:
+        cand = rng.uniform(lo, hi, size=(_SAMPLE_CHUNK, lo.shape[0]))
+        kept.append(cand[members_mask(cset, cand)])
+        have += kept[-1].shape[0]
+        drawn += _SAMPLE_CHUNK
+    if have < count:
+        raise InvalidInputError(
+            f"sampling region barely intersects the set: kept {have} of"
+            f" {count} points in {drawn} draws")
     return np.vstack(kept)[:count]
 
 

@@ -119,12 +119,12 @@ def strict_step_intervals(cert: Certificate) -> list[tuple[float, float]]:
 def hilbert_step_interval(cert: Certificate) -> tuple[float, float] | None:
     """Admissible open window (0, 2 (v - u mu^2) / mu^2) at p = 2, or None
     when v <= u mu^2, when mu^2 is not a finite normal float (the rule
-    Halfspace applies to its normal) or when the step underflows to 0."""
+    Halfspace applies to its normal) or when its end is not in (0, inf)."""
     mu2 = _normal_square(cert.mu)
     # (u mu) mu, as certificate_feasibility rounds it, not u mu2
     step = (0.0 if mu2 is None
             else (cert.v - cert.u * cert.mu * cert.mu) / mu2)
-    return (0.0, 2.0 * step) if step > 0.0 else None
+    return (0.0, 2.0 * step) if 0.0 < 2.0 * step < math.inf else None
 
 
 def _check_step(lam) -> float:
@@ -175,10 +175,10 @@ def select_lambda(problem: Problem, lam: float | None = None
     is a configuration error asking for an explicit step size.
     """
     if lam is not None:
-        lam = float(lam)
-        if not np.isfinite(lam) or lam <= 0.0:
-            raise ConfigError(f"explicit step size must be positive, got {lam}")
-        return lam, Certification.UNCERTIFIED
+        try:
+            return _check_step(lam), Certification.UNCERTIFIED
+        except InvalidInputError as exc:
+            raise ConfigError(f"explicit {exc}") from exc
     if problem.cert is None:
         raise ConfigError(
             "no step size: supply lambda explicitly or attach a certificate")

@@ -88,9 +88,7 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
             if probe.shape[0]:
                 pn = nx[nonzero][:16]
                 fs = rng.standard_normal(size=(64, probe.shape[1]))
-                nf = norm_rows(fs, q)
-                keep = nf > 0.0
-                fs = fs[keep] / nf[keep][:, None]
+                fs /= norm_rows(fs, q)[:, None]
                 vals = fs @ probe.T  # (functionals, probe points)
                 report.worst_bound_excess = _worst(
                     max, report.worst_bound_excess,

@@ -816,3 +816,92 @@ def test_halfspace_normal_with_no_float_square_is_a_config_error(tmp_path,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "[set]: halfspace normal" in err
     assert "Traceback" not in err
+
+
+def test_solve_refuses_an_infinite_explicit_step(tmp_path, capsys):
+    cfg = write(tmp_path, BOX_IDENTITY)
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run(capsys, "solve", "--config", cfg, "--out",
+                         str(out_csv), "--lambda", "inf")
+    assert (code, out) == (2, "")
+    assert err == "error: explicit step size must be positive and finite, got inf\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("suite, command", [("duality", "duality_sweep"),
+                                            ("pairing", "pairing_inequality_sweep"),
+                                            ("retraction", "retraction_suite")])
+def test_a_refused_allocation_exits_2_with_one_error_line(capsys, monkeypatch,
+                                                          suite, command):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(lpvi.cli, command, refuse)
+    code, out, err = run(capsys, "verify", suite, "--count", "1000000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 14.6 TiB for an array\n"
+
+
+def test_verify_retraction_runs_the_exponents_it_is_given(capsys, monkeypatch):
+    called = []
+
+    def spy(p_values, **kwargs):
+        called.append(list(p_values))
+        return real(p_values, **kwargs)
+
+    real = lpvi.cli.retraction_suite
+    monkeypatch.setattr(lpvi.cli, "retraction_suite", spy)
+    _, default, _ = run(capsys, "verify", "retraction", "--count", "300")
+    code, out, _ = run(capsys, "verify", "retraction", "--count", "300",
+                       "--p", "5")
+    assert called == [[1.5, 2.0, 3.0], [5.0]]
+    assert code == 0 and out != default
+
+
+@pytest.mark.parametrize("flags", [["--seed", "9"], ["--count", "100"],
+                                   ["--p", "5"],
+                                   ["--seed", "9", "--count", "100", "--p", "5"]])
+def test_verify_factor_refuses_flags_it_cannot_use(capsys, flags):
+    code, out, err = run(capsys, "verify", "factor", *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: verify factor takes no --seed, --count or --p\n"
+
+
+def test_oracle_refuses_an_empty_grid_flag(tmp_path, capsys):
+    cfg = write(tmp_path, BOX_IDENTITY + "\n    [oracle]\n    grid = 5 5\n")
+    code, out, err = run(capsys, "oracle", "--config", cfg, "--grid", "")
+    assert (code, out) == (2, "")
+    assert err == "error: grid needs at least one axis\n"
+
+
+def test_check_map_takes_every_point_of_the_sampler_budget(tmp_path, capsys,
+                                                           monkeypatch):
+    from lpvi import sets
+    cfg = write(tmp_path, BOX_IDENTITY)
+    _, full, _ = run(capsys, "check-map", "--config", cfg, "--count", "768")
+    # 768 pairs are 1536 points: three chunks of draws, all in the box
+    monkeypatch.setattr(sets, "_MAX_CHUNKS", 3)
+    code, out, err = run(capsys, "check-map", "--config", cfg, "--count", "768")
+    assert (code, out, err) == (0, full, "")
+    code, out, err = run(capsys, "check-map", "--config", cfg, "--count", "769")
+    assert (code, out) == (2, "")
+    assert err == "error: count must be between 0 and 1536, got 1538\n"
+
+
+def test_verify_retraction_fails_a_clamp_onto_a_shifted_box(capsys, monkeypatch):
+    from lpvi import sets
+    real = sets.retraction_kernel
+
+    def shifted(cset, p):
+        if isinstance(cset, lpvi.Box):
+            lo, hi = cset.lo + 0.5, cset.hi + 0.5
+            return lambda xs, out=None: xs.clip(lo, hi, out=out)
+        return real(cset, p)
+
+    monkeypatch.setattr(sets, "retraction_kernel", shifted)
+    code, out, err = run(capsys, "verify", "retraction", "--count", "300")
+    assert code == 1
+    line = next(ln for ln in out.splitlines() if ln.startswith("characterization"))
+    assert line.endswith("FAIL")
+    # normalized by 1 + |x|_p^2, the shift's pairing stays well inside (-1, 0)
+    assert -1.0 < float(line.split()[1]) < -1e-3

@@ -7,6 +7,7 @@ from lpvi import (Ball, Box, Halfspace, InvalidInputError, RetractionMode,
                   ShapeError, UnsupportedRetractionError, WholeSpace,
                   bounding_box, contains, retract, retraction_support,
                   sample_in_set, verify_characterization, verify_sunny)
+from lpvi import sets
 from lpvi.sets import members_mask, retract_rows, retraction_kernel
 from lpvi.spaces import norm_rows
 
@@ -361,3 +362,60 @@ def test_halfspace_with_an_extreme_normal_retracts_into_the_set(scale):
         assert contains(hs, q, tol=1e-12 * scale)
         np.testing.assert_allclose(q, retract(unit, x, 2), rtol=1e-12,
                                    atol=1e-12)
+
+
+def test_sample_in_set_meets_every_request_its_budget_can(monkeypatch):
+    line = Box([0.0], [1.0])
+    full = sample_in_set(line, 1536, seed=0)
+    monkeypatch.setattr(sets, "_MAX_CHUNKS", 3)
+    # every draw lands in the box, so three chunks of 512 keep 1536 points
+    assert np.array_equal(sample_in_set(line, 1536, seed=0), full)
+    assert sample_in_set(line, 0, seed=0).shape == (0, 1)
+    with pytest.raises(InvalidInputError) as info:
+        sample_in_set(line, 1537, seed=0)
+    assert str(info.value) == "count must be between 0 and 1536, got 1537"
+    with pytest.raises(InvalidInputError, match="got -1$"):
+        sample_in_set(line, -1, seed=0)
+
+
+def test_sample_in_set_refusal_names_what_it_kept(monkeypatch):
+    monkeypatch.setattr(sets, "_MAX_CHUNKS", 3)
+    with pytest.raises(InvalidInputError) as info:
+        sample_in_set(Ball(2, 1.0), 5, seed=0, bounds=([5.0, 5.0], [6.0, 6.0]))
+    assert str(info.value) == ("sampling region barely intersects the set:"
+                               " kept 0 of 5 points in 1536 draws")
+    # about half of each draw lands in the box
+    with pytest.raises(InvalidInputError) as info:
+        sample_in_set(Box([0.0], [1.0]), 1000, seed=0, bounds=([0.0], [2.0]))
+    match = re.fullmatch(r"sampling region barely intersects the set:"
+                         r" kept (\d+) of 1000 points in 1536 draws",
+                         str(info.value))
+    assert match and 700 < int(match[1]) < 1000
+
+
+def test_characterization_takes_the_corners_of_a_ten_dimensional_box():
+    # each clamped coordinate of Qx lies on a face, and the corner on all
+    # of those faces pairs to exactly 0; sampled points alone pair to
+    # more, and above ten dimensions only samples are taken
+    x = np.linspace(-1.0, 2.0, 10)
+    assert verify_characterization(Box(np.zeros(10), np.ones(10)), x, 3, 50,
+                                   seed=0) == 0.0
+    x = np.linspace(-1.0, 2.0, 11)
+    assert verify_characterization(Box(np.zeros(11), np.ones(11)), x, 3, 50,
+                                   seed=0) > 0.0
+
+
+def test_characterization_exposes_a_retraction_that_overshoots(monkeypatch):
+    real = sets.retraction_kernel
+
+    def reflecting(cset, p):
+        # through the boundary instead of onto it: Q'x = 2 Qx - x
+        kernel = real(cset, p)
+        return lambda xs, out=None: 2.0 * kernel(xs) - xs
+
+    monkeypatch.setattr(sets, "retraction_kernel", reflecting)
+    # Q'[2, 0] = [-2, 0], so <x - Q'x, Q'x - y> = -4 (2 + y_1), which
+    # falls to -8 as y nears the boundary y_1 = 0; the samples must reach it
+    worst = verify_characterization(Halfspace([1.0, 0.0], 0.0), [2.0, 0.0], 2,
+                                    300, seed=0)
+    assert -8.0 <= worst < -7.0

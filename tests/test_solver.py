@@ -811,3 +811,22 @@ def test_picard_through_signed_zeros_matches_the_reference(lo):
         rep = assert_matches_reference(lambda: prob, 1.0, x0, tol=1e-10,
                                        max_iter=100)
         assert rep.status is SolveStatus.CONVERGED
+
+
+@pytest.mark.parametrize("u, v, mu", [(1e-300, 1e300, 1e-150),
+                                      (1e-300, 1e200, 1e-60)])
+def test_hilbert_step_interval_refuses_a_window_that_overflows(u, v, mu):
+    # (v - u mu^2) / mu^2 overflows to inf; only inconsistent certificates
+    # get there, and select_lambda refuses those before it asks
+    cert = Certificate(u, v, mu)
+    assert certificate_feasibility(cert).verdict is Feasibility.INCONSISTENT
+    assert hilbert_step_interval(cert) is None
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0])
+def test_select_lambda_refuses_an_explicit_step_by_the_step_rule(lam):
+    prob = box_problem(cert=Certificate(0.1, 1.0, 1.0))
+    with pytest.raises(ConfigError) as info:
+        select_lambda(prob, lam)
+    assert str(info.value) == (
+        f"explicit step size must be positive and finite, got {lam}")
