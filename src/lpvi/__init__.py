@@ -16,7 +16,7 @@ from .maps import (Affine, BlackBox, Certificate, Feasibility,
                    draw_pairs, estimate_lipschitz, evaluate)
 from .oracle import (GridSolution, GridSpec, PairingSweep,
                      check_pairing_inequality, grid_bounds, grid_vi_solve,
-                     pairing_inequality_sweep)
+                     pairing_inequality_sweep, pairing_sweeps)
 from .sets import (Ball, Box, ConvexSet, Halfspace, RetractionMode,
                    RetractionSupport, WholeSpace, bounding_box, contains,
                    retract, retraction_support, sample_in_set,

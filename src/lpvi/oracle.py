@@ -211,8 +211,8 @@ class PairingSweep:
     pinned_slack: float         # slack of the pair with x = 0: exactly 0 iff J(0) = 0
 
 
-def pairing_inequality_sweep(p, n: int, pairs: int, seed: int) -> PairingSweep:
-    """Seeded random sweep of check_pairing_inequality over row blocks.
+def pairing_sweeps(p_values, n: int, pairs: int, seed: int) -> list[PairingSweep]:
+    """One seeded sweep of check_pairing_inequality per p, all over one draw.
 
     Pairs are drawn uniformly in [-5, 5]^n and then stretched by a random
     power of ten per pair so several magnitudes are probed. The margin is
@@ -221,12 +221,13 @@ def pairing_inequality_sweep(p, n: int, pairs: int, seed: int) -> PairingSweep:
     exactly 0 when J(0) = 0; it is reported on its own, and the minimum
     margin is taken over the other pairs.
 
-    The pairs are drawn whole, in one seeded stream; the slack chain then
-    runs one block of about 2^15 entries at a time (spaces.row_blocks), so
-    its temporaries stay block-sized. Every kernel in it is row-local, so
-    each figure has the bits of one pass over all the pairs.
+    Every input is checked before the draw. The pairs are drawn whole, in
+    one seeded stream, and only read after that; each p's slack chain runs
+    one block of about 2^15 entries at a time (spaces.row_blocks), so its
+    temporaries stay block-sized. Every kernel in it is row-local, so each
+    figure has the bits of one pass over all the pairs.
     """
-    p = check_exponent(p)
+    p_values = [check_exponent(p) for p in p_values]
     if n < 1 or pairs < 2:
         raise InvalidInputError(
             f"need n >= 1 and pairs >= 2 (one pair is pinned at x = 0),"
@@ -238,11 +239,19 @@ def pairing_inequality_sweep(p, n: int, pairs: int, seed: int) -> PairingSweep:
     xs *= stretch
     ys *= stretch
     xs[0] = 0.0  # pin one degenerate endpoint; J(0) = 0 must hold too
-    slack, nx, ny = np.empty((3, pairs))
-    for b in row_blocks(pairs, n):
-        slack[b], nx[b], ny[b] = _pairing_slack_rows(xs[b], ys[b], p)
-    margin = slack / (1.0 + nx * ny)
-    i = 1 + int(np.argmin(margin[1:]))
-    return PairingSweep(min_margin=float(margin[i]), worst_x=xs[i].copy(),
-                        worst_y=ys[i].copy(), pairs=pairs,
-                        pinned_slack=float(slack[0]))
+    sweeps = []
+    for p in p_values:
+        slack, nx, ny = np.empty((3, pairs))
+        for b in row_blocks(pairs, n):
+            slack[b], nx[b], ny[b] = _pairing_slack_rows(xs[b], ys[b], p)
+        margin = slack / (1.0 + nx * ny)
+        i = 1 + int(np.argmin(margin[1:]))
+        sweeps.append(PairingSweep(min_margin=float(margin[i]),
+                                   worst_x=xs[i].copy(), worst_y=ys[i].copy(),
+                                   pairs=pairs, pinned_slack=float(slack[0])))
+    return sweeps
+
+
+def pairing_inequality_sweep(p, n: int, pairs: int, seed: int) -> PairingSweep:
+    """pairing_sweeps at the one exponent p."""
+    return pairing_sweeps([p], n, pairs, seed)[0]

@@ -829,7 +829,7 @@ def test_solve_refuses_an_infinite_explicit_step(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("suite, command", [("duality", "duality_sweep"),
-                                            ("pairing", "pairing_inequality_sweep"),
+                                            ("pairing", "pairing_sweeps"),
                                             ("retraction", "retraction_suite")])
 def test_a_refused_allocation_exits_2_with_one_error_line(capsys, monkeypatch,
                                                           suite, command):
@@ -840,6 +840,59 @@ def test_a_refused_allocation_exits_2_with_one_error_line(capsys, monkeypatch,
     code, out, err = run(capsys, "verify", suite, "--count", "1000000000000")
     assert (code, out) == (2, "")
     assert err == "error: out of memory: Unable to allocate 14.6 TiB for an array\n"
+
+
+def rng_seeds(monkeypatch) -> list:
+    """The seed of every numpy Generator built from now on, in order."""
+    seeds = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: seeds.append(seed) or real(seed))
+    return seeds
+
+
+@pytest.mark.parametrize("suite, command, widest",
+                         [("duality", "duality_sweep", 50),
+                          ("pairing", "pairing_sweeps", 20),
+                          ("retraction", "retraction_suite", 7)])
+def test_a_count_past_the_largest_array_is_refused_before_any_draw(
+        capsys, monkeypatch, suite, command, widest):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    draws = rng_seeds(monkeypatch)
+    code, out, err = run(capsys, "verify", suite,
+                         "--count", "1000000000000000000")
+    assert (code, out, draws) == (2, "", [])
+    assert err == ("error: --count 1000000000000000000: a sample of"
+                   f" 1000000000000000000 rows of {widest} doubles passes"
+                   " the largest array size\n")
+    # the largest count that passes reaches the suite
+    monkeypatch.setattr(lpvi.cli, command, refuse)
+    limit = sys.maxsize // (8 * widest)
+    code, out, err = run(capsys, "verify", suite, "--count", str(limit))
+    assert (code, out, err) == (2, "", "error: out of memory: Unable to allocate\n")
+    code, _, err = run(capsys, "verify", suite, "--count", str(limit + 1))
+    assert code == 2 and err.startswith(f"error: --count {limit + 1}: ")
+
+
+def test_verify_pairing_draws_each_n_once_for_every_p(capsys, monkeypatch):
+    seeds = rng_seeds(monkeypatch)
+    code, out, _ = run(capsys, "verify", "pairing", "--count", "300",
+                       "--seed", "4")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"pairing inequality p={p} n={n}"
+        for p in (1.5, 3.0, 4.0) for n in (2, 5, 20)]
+    assert seeds == [4, 4, 4]
+
+
+def test_verify_pairing_checks_every_exponent_before_it_prints(capsys):
+    code, out, err = run(capsys, "verify", "pairing", "--p", "3", "--p", "1",
+                         "--count", "300")
+    assert (code, out) == (5, "")
+    assert (5, "", err) == run(capsys, "verify", "pairing", "--p", "1",
+                               "--count", "300")
 
 
 def test_verify_retraction_runs_the_exponents_it_is_given(capsys, monkeypatch):

@@ -4,18 +4,22 @@ Mutates the README config and the flags of solve, oracle, check-map and
 verify with bad numbers, non-integers, negatives, nan/inf and empty
 values. Whatever the input, the CLI must exit with a documented code and
 must not let an exception escape (which would print a traceback). Every
-count and grid stays small so the examples run in a few seconds.
+count and grid that runs stays small so the examples run in a few
+seconds; the one huge count, 10**18 for verify and check-map, is refused
+before any draw. The trace writer's bytes are pinned to printf-style
+formatting on any float bits.
 """
 
 import contextlib
 import io
+import struct
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpvi.cli import main
+from lpvi.cli import _write_trace, main
 
 # the README example, with the oracle grid and iteration counts kept small
 README_CONFIG = {
@@ -45,12 +49,15 @@ VALUES = st.one_of(
 COUNTS = st.one_of(st.integers(-3, 50).map(str),
                    VALUES.filter(lambda value: value is not DELETE))
 CONFIG_VALUES = {("solver", "max_iter"): COUNTS, ("check", "pairs"): COUNTS}
+# verify and check-map must refuse a sample past the largest array before
+# drawing it; solve keeps COUNTS, so no --max-iter can run unbounded
+SAMPLE_COUNTS = st.one_of(COUNTS, st.just(str(10**18)))
 
 FLAGS = {
     "solve": {"--lambda": VALUES, "--tol": VALUES, "--max-iter": COUNTS},
     "oracle": {"--grid": VALUES, "--lambda": VALUES},
-    "check-map": {"--seed": COUNTS, "--count": COUNTS},
-    "verify": {"--seed": COUNTS, "--count": COUNTS, "--p": VALUES},
+    "check-map": {"--seed": COUNTS, "--count": SAMPLE_COUNTS},
+    "verify": {"--seed": COUNTS, "--count": SAMPLE_COUNTS, "--p": VALUES},
 }
 DEFAULT_FLAGS = {
     "solve": {"--max-iter": "50"},
@@ -106,6 +113,7 @@ def run_cli(argv) -> tuple[int, str]:
 
 
 @given(invocations())
+@example(("verify", README_CONFIG, ["pairing", "--count=1000000000000000000"]))
 @settings(max_examples=150, deadline=None)
 def test_cli_exits_with_a_documented_code_and_no_traceback(invocation):
     command, config, args = invocation
@@ -120,3 +128,21 @@ def test_cli_exits_with_a_documented_code_and_no_traceback(invocation):
         code, err = run_cli(argv + args)
     assert code in {0, 1, 2, 3, 4, 5}
     assert "Traceback" not in err
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+FLOAT_BITS = st.one_of(st.integers(0, 2**64 - 1).map(_from_bits), st.floats())
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**9), FLOAT_BITS, FLOAT_BITS)))
+@example([(0, 0.0, -0.0), (1, float("inf"), float("-inf")),
+          (2, float("nan"), 5e-324), (3, -2.225073858507201e-308, 1e308)])
+@settings(deadline=None)
+def test_trace_rows_have_the_bytes_of_printf_formatting(rows):
+    out = io.StringIO()
+    _write_trace(out, rows)
+    assert out.getvalue() == "iter,step_norm,residual\n" + "".join(
+        "%d,%.17g,%.17g\n" % row for row in rows)

@@ -10,7 +10,7 @@ import pytest
 
 from lpvi import oracle, spaces, sweeps
 from lpvi.cli import main
-from lpvi.oracle import pairing_inequality_sweep
+from lpvi.oracle import pairing_inequality_sweep, pairing_sweeps
 from lpvi.spaces import row_blocks
 from lpvi.sweeps import retraction_suite
 
@@ -66,6 +66,19 @@ def test_blocked_pairing_sweep_keeps_every_bit(monkeypatch, p, n, pairs):
     assert_same_bits(blocked, whole)
     # J(x) and then J(y) of each block, the last block short
     assert rows == [s for s in block_sizes(pairs, STEP) for _ in "xy"]
+
+
+@pytest.mark.parametrize("p_values", [[1.5, 3.0, 4.0], [4.0, 1.5, 3.0]])
+@pytest.mark.parametrize("n", [2, 5, 20])
+@pytest.mark.parametrize("pairs", [3 * STEP - 1, 3 * STEP, 3 * STEP + 1])
+def test_each_sweep_of_the_shared_draw_has_the_bits_of_its_own_draw(
+        monkeypatch, p_values, n, pairs):
+    # a chain that wrote into the shared xs or ys would move every later p
+    monkeypatch.setattr(spaces, "_ROW_BLOCK_ELEMS", STEP * n)
+    shared = pairing_sweeps(p_values, n, pairs, 3)
+    assert len(shared) == len(p_values)
+    for p, sweep in zip(p_values, shared):
+        assert_same_bits(sweep, pairing_inequality_sweep(p, n, pairs, 3))
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -219,3 +232,10 @@ def test_the_retraction_suite_holds_no_pairs_by_n_temporary():
     # at n = 7 xs and ys are about 1.1 MiB; whole-array retractions and
     # differences would take the peak past 3 MiB
     assert traced_peak_mib(retraction_suite, pairs=10_000, seed=0) < 3.0
+
+
+def test_the_shared_draw_holds_no_pairs_by_n_temporary():
+    pairing_sweeps([3.0], 20, 2, 0)
+    # the three p share xs and ys (about 3.1 MiB); a copy of the draw per
+    # p, or one more (pairs, n) array, would take the peak past 6 MiB
+    assert traced_peak_mib(pairing_sweeps, [1.5, 3.0, 4.0], 20, 10_000, 0) < 6.0
