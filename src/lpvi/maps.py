@@ -199,8 +199,6 @@ class LipschitzEstimate:
     """Largest sampled difference-quotient of B; a lower bound on mu."""
 
     mu_hat: float
-    pairs_used: int
-    degenerate_skipped: int
     witness_x: np.ndarray
     witness_y: np.ndarray
 
@@ -211,10 +209,6 @@ class SlackReport:
 
     worst_slack: float
     slacks: np.ndarray
-    pairs_used: int
-    degenerate_skipped: int
-    min_sq_sep: float
-    max_sq_sep: float
     witness_x: np.ndarray
     witness_y: np.ndarray
 
@@ -226,8 +220,6 @@ def estimate_lipschitz(sample: PairSample) -> LipschitzEstimate:
     i = int(np.argmax(ratios))
     return LipschitzEstimate(
         mu_hat=float(ratios[i]),
-        pairs_used=int(sample.seps.shape[0]),
-        degenerate_skipped=sample.degenerate_skipped,
         witness_x=sample.xs[i].copy(),
         witness_y=sample.ys[i].copy(),
     )
@@ -238,10 +230,6 @@ def _slack_report(slacks, sample: PairSample) -> SlackReport:
     return SlackReport(
         worst_slack=float(slacks[i]),
         slacks=slacks,
-        pairs_used=int(slacks.shape[0]),
-        degenerate_skipped=sample.degenerate_skipped,
-        min_sq_sep=float(np.min(sample.seps) ** 2),
-        max_sq_sep=float(np.max(sample.seps) ** 2),
         witness_x=sample.xs[i].copy(),
         witness_y=sample.ys[i].copy(),
     )

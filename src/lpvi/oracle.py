@@ -14,7 +14,8 @@ the grid; larger scales accept proportionally wider bands.
 
 Most grid points fail against a single rival, so every candidate u is
 first screened against the grid point v minimizing <Bu, v> (at p = 2
-that rival attains the minimum over the grid exactly). Only survivors
+that rival attains the minimum over the grid exactly; without the
+screen the benchmark's `oracle` runs 15 ops/s, not 247). Only survivors
 of the screen get the full scan over all rivals, a block of survivors
 at a time: one duality-map call over the block's candidate x rival
 differences and one batched matrix product give the same bits as one
@@ -49,7 +50,8 @@ MAX_SCAN_ROWS = 100_000_000
 _SCREEN_BLOCK_ELEMS = 1 << 16
 _SCREEN_MIN_ROWS = 16
 # each full-scan block's (candidates, m, n) rival array holds about this
-# many elements, but at least one candidate
+# many elements, but at least one candidate. Kept: one candidate per block
+# cuts the benchmark's `oracle` ops/s 247 -> 192 (op_ms.p90 9.6 -> 10.8)
 _SCAN_BLOCK_ELEMS = 1 << 14
 # relative rounding gap allowed between the screen's pairing and the full
 # scan's pairing of the same rival (same J row, other reduction order)
@@ -84,7 +86,6 @@ class GridSolution:
     worst_pairings: np.ndarray  # (k,) min pairing over grid rivals, per point
     spacing: np.ndarray         # (n,) per-axis grid step
     searched: int               # grid points that lay inside C
-    total: int                  # all grid points
 
 
 def grid_bounds(cset) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +171,6 @@ def grid_vi_solve(problem: Problem, grid: GridSpec,
         worst_pairings=np.concatenate(worsts),
         spacing=spacing,
         searched=int(inside.shape[0]),
-        total=int(pts.shape[0]),
     )
 
 
@@ -207,7 +207,6 @@ class PairingSweep:
     min_margin: float           # min slack / (1 + |x| |y|) over the drawn pairs
     worst_x: np.ndarray
     worst_y: np.ndarray
-    pairs: int
     pinned_slack: float         # slack of the pair with x = 0: exactly 0 iff J(0) = 0
 
 
@@ -248,7 +247,7 @@ def pairing_sweeps(p_values, n: int, pairs: int, seed: int) -> list[PairingSweep
         i = 1 + int(np.argmin(margin[1:]))
         sweeps.append(PairingSweep(min_margin=float(margin[i]),
                                    worst_x=xs[i].copy(), worst_y=ys[i].copy(),
-                                   pairs=pairs, pinned_slack=float(slack[0])))
+                                   pinned_slack=float(slack[0])))
     return sweeps
 
 

@@ -249,7 +249,7 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
 
     A block may advance past the stop, by fewer iterates than came
     before it and at most K - 1; they are dropped, though a black-box
-    map sees the calls.
+    map sees the calls, which is why blocks double from one iterate.
     """
     lam = _check_step(lam)
     check_stopping_rule(tol, max_iter)
@@ -258,12 +258,14 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     n, p = problem.space.n, problem.space.p
     evaluate_into = rows_kernel(problem.mapping)
     retract_into = retraction_kernel(problem.cset, p)
+    # Kept: checking every map per advance moves `solve` p90 79.6 -> 93.5 ms
     per_advance = has_black_box(problem.mapping)
     block = _block_size(n)
     xs = np.empty((block + 1, n))    # x_j, then the block's new iterates
     pairs = np.empty((2 * block, n))  # the block's steps, then its sizes
     bxs, images = np.empty((block, n)), np.empty((block, n))  # Bx, x - lam Bx
     finite = np.empty((block, n), dtype=bool)
+    # Kept: slicing these per advance moves `solve` p90 78.8 -> 88.5 ms
     rows = [xs[i:i + 1] for i in range(block + 1)]
     bx_rows = [bxs[i:i + 1] for i in range(block)]
     image_rows = [images[i:i + 1] for i in range(block)]
@@ -272,10 +274,7 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     def non_finite(start, stop):
         """The failure (index, message, cause) of the first non-finite
         image in rows start to stop, or None."""
-        # counted rather than .all(), which goes through a Python wrapper
-        if np.count_nonzero(np.isfinite(images[start:stop],
-                                        out=finite[start:stop])) \
-                == (stop - start) * n:
+        if np.isfinite(images[start:stop], out=finite[start:stop]).all():
             return None
         i = start + int(np.argmin(finite[start:stop].all(axis=1)))
         return i, ("iterate became non-finite" if np.isfinite(bxs[i]).all()

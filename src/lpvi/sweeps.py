@@ -37,7 +37,6 @@ class DualityReport:
     worst_attainment: float    # |<Jx/|x|, x> - |x|_p| / (1 + |x|_p)
     worst_bound_excess: float  # max over unit f of (<f, x> - |x|_p) / (1 + |x|_p)
     worst_hilbert: float | None  # max |Jx - x| entrywise at p = 2
-    checks: int
 
 
 def _sample_vectors(rng, count: int, n: int) -> np.ndarray:
@@ -58,7 +57,7 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    report = DualityReport(0.0, 0.0, 0.0, 0.0, -np.inf, None, 0)
+    report = DualityReport(0.0, 0.0, 0.0, 0.0, -np.inf, None)
     for p in p_values:
         q = dual_exponent(p)
         for n in n_values:
@@ -100,7 +99,6 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
                 report.worst_attainment = _worst(
                     max, report.worst_attainment,
                     np.max(np.abs(attained - pn) / (1.0 + pn)))
-            report.checks += count
     return report
 
 
@@ -113,7 +111,10 @@ class RetractionReport:
     max_nonexpansive_excess: float    # |Qx - Qy| - |x - y|, positive part
     min_characterization: float       # normalized by 1 + |x|_p^2
     min_projection_inequality: float  # p = 2: <x-y, Qx-Qy> - |Qx-Qy|^2
-    pairs: int
+
+
+# retraction_suite's box dimensions; its balls and halfspaces are no wider
+RETRACTION_DIMS = (2, 3, 7)
 
 
 def _random_box(rng, n: int) -> Box:
@@ -137,7 +138,7 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
     if pairs < 1:
         raise InvalidInputError(f"pairs must be >= 1, got {pairs}")
     rng = np.random.default_rng(seed)
-    rep = RetractionReport(0.0, 0.0, 0.0, 0.0, -np.inf, np.inf, np.inf, pairs)
+    rep = RetractionReport(0.0, 0.0, 0.0, 0.0, -np.inf, np.inf, np.inf)
 
     def common_checks(cset, p):
         n = cset.dim
@@ -182,7 +183,7 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
                     np.min(gap / (1.0 + nd ** 2)))
 
     for p in p_values:
-        for n in (2, 3, 7):
+        for n in RETRACTION_DIMS:
             common_checks(_random_box(rng, n), p)
     for n in (2, 5):
         common_checks(Ball(n, float(rng.uniform(0.5, 3.0))), 2.0)

@@ -94,10 +94,10 @@ def test_affine_must_be_square():
 
 
 def test_lipschitz_scaled_identity():
-    est = estimate_lipschitz(
-        draw_pairs(Affine(-2.5 * np.eye(2)), BOX, 2, 500, seed=1))
+    sample = draw_pairs(Affine(-2.5 * np.eye(2)), BOX, 2, 500, seed=1)
+    est = estimate_lipschitz(sample)
     assert est.mu_hat == pytest.approx(2.5, rel=1e-12)
-    assert est.pairs_used == 500
+    assert sample.seps.size == 500
     wit = p_norm(evaluate(Affine(-2.5 * np.eye(2)), est.witness_x)
                  - evaluate(Affine(-2.5 * np.eye(2)), est.witness_y), 2)
     assert wit / p_norm(est.witness_x - est.witness_y, 2) == pytest.approx(est.mu_hat, rel=1e-12)
@@ -142,14 +142,14 @@ def test_cocoercive_identity_holds():
     sample = draw_pairs(_identity(), BOX, 2, 2000, seed=4)
     rep = check_relaxed_cocoercive(sample, u=0.1, v=1.0)
     # slack is exactly 0.1 |x - y|^2 for the identity at p = 2
-    assert rep.worst_slack >= 0.1 * rep.min_sq_sep - 1e-12
-    assert rep.pairs_used + rep.degenerate_skipped == 2000
+    assert rep.worst_slack >= 0.1 * np.min(sample.seps) ** 2 - 1e-12
+    assert sample.seps.size + sample.degenerate_skipped == 2000
 
 
 def test_cocoercive_false_claim_is_falsified():
     sample = draw_pairs(_identity(), BOX, 2, 2000, seed=4)
     rep = check_relaxed_cocoercive(sample, u=0.1, v=2.0)
-    assert rep.worst_slack <= -0.8 * rep.max_sq_sep
+    assert rep.worst_slack <= -0.8 * np.max(sample.seps) ** 2
 
 
 def test_cocoercive_at_p3():
@@ -161,13 +161,13 @@ def test_cocoercive_at_p3():
 def test_strongly_monotone_identity():
     sample = draw_pairs(_identity(), BOX, 2, 2000, seed=6)
     rep = check_strongly_monotone(sample, v=1.0)
-    assert abs(rep.worst_slack) <= 1e-9 * (1.0 + rep.max_sq_sep)
+    assert abs(rep.worst_slack) <= 1e-9 * (1.0 + np.max(sample.seps) ** 2)
 
 
 def test_strongly_monotone_violated_by_negated_identity():
     sample = draw_pairs(Affine(-np.eye(2)), BOX, 2, 2000, seed=6)
     rep = check_strongly_monotone(sample, v=1.0)
-    assert rep.worst_slack <= -2.0 * rep.max_sq_sep + 1e-12
+    assert rep.worst_slack <= -2.0 * np.max(sample.seps) ** 2 + 1e-12
 
 
 def test_strong_monotonicity_implies_cocoercivity_samplewise():

@@ -173,6 +173,19 @@ def test_select_lambda_uncertified_certificate_rejected():
         select_lambda(prob)
 
 
+def test_a_certificate_with_v_at_u_mu2_is_uncertified():
+    # the Hilbert window (0, 2 (v - u mu^2) / mu^2) is empty there
+    assert certificate_feasibility(Certificate(1.0, 4.0, 2.0)).verdict \
+        is Feasibility.UNCERTIFIED
+
+
+def test_a_certificate_on_the_consistency_bound_is_hilbert_only():
+    # v = mu + u mu^2 is still consistent, with window (0, 1)
+    edge = Certificate(1.0, 6.0, 2.0)
+    assert certificate_feasibility(edge).verdict is Feasibility.HILBERT_ONLY
+    assert select_lambda(box_problem(cert=edge)) == (0.5, Certification.HILBERT)
+
+
 # consistent, Hilbert-only certificates with no representable step: mu^2
 # is 0.0, subnormal or inf, or the step (v - u mu^2) / mu^2 underflows
 NO_STEP_CERTIFICATES = [
@@ -585,6 +598,30 @@ def test_picard_stops_at_every_offset_in_a_block():
         assert rep.status is SolveStatus.CONVERGED
         stops.add(rep.iterations)
     assert set(range(1, 3 * BLOCK_AT_N2 + 2)) <= stops
+
+
+def test_a_black_box_sees_at_most_s_calls_past_a_stop_at_iteration_s():
+    # B(x) = x / 2 at lam = 1 halves every step, so these tolerances move
+    # the stop through iterations 1 to 40. Blocks that double from one
+    # iterate keep the advances past the stop below both s and K
+    calls = [0]
+
+    def half(x):
+        calls[0] += 1
+        return 0.5 * x
+
+    prob = Problem(SpaceSpec(2, 3.0), Box([-1.0, -1.0], [1.0, 1.0]),
+                   BlackBox(half, 2))
+    stops = set()
+    for e in range(2, 100):
+        calls[0] = 0
+        rep = picard_solve(prob, 1.0, [1.0, 0.7], tol=2.0 ** (-e / 2))
+        s = rep.iterations
+        assert rep.status is SolveStatus.CONVERGED
+        # iteration s stops once B has been evaluated at x_0 to x_s
+        assert 0 <= calls[0] - (s + 1) <= min(s, BLOCK_AT_N2 - 1)
+        stops.add(s)
+    assert set(range(1, 41)) <= stops
 
 
 @pytest.mark.parametrize("max_iter", range(1, 2 * BLOCK_AT_N2 + 2))
