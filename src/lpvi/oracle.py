@@ -13,18 +13,18 @@ one cell of the solution on unit-box instances whose solution lies on
 the grid; larger scales accept proportionally wider bands.
 
 Most grid points fail against a single rival, so every candidate u is
-first screened against the grid point v minimizing <Bu, v> (at p = 2
-that rival attains the minimum over the grid exactly; without the
-screen the benchmark's `oracle` runs 15 ops/s, not 247). Only survivors
-of the screen get the full scan over all rivals, a block of survivors
-at a time: one duality-map call over the block's candidate x rival
-differences and one batched matrix product give the same bits as one
-scan per candidate. Both kinds of work are capped: MAX_SCREEN_PAIRS
-bounds the candidate x rival pairs the screen forms, MAX_SCAN_ROWS the
+first screened against the v minimizing <Bu, v> over the grid's extreme
+points in C, which include every vertex of the hull of C's grid points
+(at p = 2 that v is the worst rival; without the screen the benchmark's
+`oracle` runs 15 ops/s, not 375). Only survivors get the full scan
+over all rivals, a block at a time: one duality-map call over the
+block's candidate x rival differences and one batched matrix product
+give the same bits as one scan per candidate. MAX_SCREEN_PAIRS bounds
+the pairs of grid points the screen could form, MAX_SCAN_ROWS the
 duality-map rows the full scans form. On a 2-core Intel Xeon VM (numpy
-2.4, OpenBLAS on one thread) the screen cap is about 26 s of work (a
-376 x 376 box grid at p = 3) and the scan cap about 8 s (a 100 x 100
-grid under a near-zero map, where every candidate survives).
+2.4, OpenBLAS on one thread) a grid at the screen cap (376 x 376, a box
+at p = 3) takes about 0.13 s, one at the scan cap about 11 s (100 x 100
+under a near-zero map, where every candidate survives).
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from .spaces import (as_vector, check_exponent, duality_map_rows,
 MAX_GRID_DIM = 3
 MAX_SCREEN_PAIRS = 20_000_000_000
 MAX_SCAN_ROWS = 100_000_000
-# the screen's (rows, m) product holds about this many elements per block,
-# but never fewer than _SCREEN_MIN_ROWS rows: below that, per-block
-# overhead dominates the time per pair
+# the screen's (rows, extreme points) product holds about this many
+# elements per block, but never fewer than _SCREEN_MIN_ROWS rows: below
+# that, per-block overhead dominates the time per pair
 _SCREEN_BLOCK_ELEMS = 1 << 16
 _SCREEN_MIN_ROWS = 16
 # each full-scan block's (candidates, m, n) rival array holds about this
@@ -71,8 +71,8 @@ class GridSpec:
         if any(c < 2 for c in counts):
             raise InvalidInputError(f"each axis needs >= 2 points, got {counts}")
         total = math.prod(counts)
-        # the screen pairs each grid point in C with each other one, so
-        # it forms at most total^2 pairs
+        # the screen pairs each grid point in C with each extreme one, at
+        # most total^2 pairs; the cap is on that bound, known before the grid
         if total * total > MAX_SCREEN_PAIRS:
             raise ResourceError(
                 f"grid of {total} points needs up to {total * total} screen"
@@ -98,24 +98,36 @@ def grid_bounds(cset) -> tuple[np.ndarray, np.ndarray]:
     return box
 
 
-def _screen(inside: np.ndarray, images: np.ndarray, floors: np.ndarray,
-            p: float) -> np.ndarray:
+def _extreme_mask(member: np.ndarray) -> np.ndarray:
+    """The members of a grid's membership mask that have, along every
+    axis, a side with no member next to them. These include every vertex
+    of the members' convex hull, so a linear functional takes the same
+    minimum over them as over all members; a box keeps its 2^n corners."""
+    keep = member.copy()
+    for axis in range(member.ndim):
+        line = np.moveaxis(member, axis, 0)
+        np.moveaxis(keep, axis, 0)[1:-1] &= ~(line[:-2] & line[2:])
+    return keep
+
+
+def _screen(inside: np.ndarray, rivals: np.ndarray, images: np.ndarray,
+            floors: np.ndarray, p: float) -> np.ndarray:
     """Mask of the candidates that survive one pairing against their rival.
 
-    Candidate i is paired with J(v - inside[i]) for the v in `inside`
-    minimizing <images[i], v>, in row blocks sized so the block's (rows, m)
-    product stays small. That pairing is one of the terms the full scan
+    Candidate i is paired with J(v - inside[i]) for the v in `rivals`
+    minimizing <images[i], v>, in row blocks of about 2^16 products. Any
+    v in C is a sound rival: its pairing is one of the terms the full scan
     minimizes, so a candidate rejected here is rejected there too. The
     full scan sums the same products in another order, so a candidate is
     rejected only when it misses its floor by more than that rounding gap.
     """
     m = inside.shape[0]
-    rows = max(_SCREEN_MIN_ROWS, _SCREEN_BLOCK_ELEMS // max(m, 1))
+    rows = max(_SCREEN_MIN_ROWS, _SCREEN_BLOCK_ELEMS // max(rivals.shape[0], 1))
     keep = np.ones(m, dtype=bool)
     for start in range(0, m, rows):
         block = slice(start, start + rows)
-        rival = np.argmin(images[block] @ inside.T, axis=1)
-        js = duality_map_rows(inside[rival] - inside[block], p)
+        rival = np.argmin(images[block] @ rivals.T, axis=1)
+        js = duality_map_rows(rivals[rival] - inside[block], p)
         screened = pairing_rows(js, images[block])
         margin = _SCREEN_MARGIN * pairing_rows(np.abs(js), np.abs(images[block]))
         keep[block] = screened >= floors[block] - margin
@@ -144,11 +156,13 @@ def grid_vi_solve(problem: Problem, grid: GridSpec,
     axes = [np.linspace(lo[i], hi[i], grid.counts[i]) for i in range(n)]
     spacing = np.array([(hi[i] - lo[i]) / (grid.counts[i] - 1) for i in range(n)])
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    inside = pts[members_mask(problem.cset, pts, tol=1e-12)]
+    member = members_mask(problem.cset, pts, tol=1e-12)
+    inside = pts[member]
+    rivals = pts[_extreme_mask(member.reshape(grid.counts)).reshape(-1)]
     h = float(np.max(spacing))
     images = evaluate_rows(problem.mapping, inside)
     floors = -slack_scale * h * (1.0 + norm_rows(images, p))
-    survivors = np.flatnonzero(_screen(inside, images, floors, p))
+    survivors = np.flatnonzero(_screen(inside, rivals, images, floors, p))
     m = inside.shape[0]
     if survivors.size * m > MAX_SCAN_ROWS:
         raise ResourceError(

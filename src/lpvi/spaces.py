@@ -83,32 +83,38 @@ def dual_exponent(p) -> float:
 
 
 # numpy reduces a narrow row one row at a time, so below this width a
-# reduction over axis 1 runs as a loop over columns instead (for arrays
-# with more rows than columns: a single row stays one reduce call). The
-# sum fold has the same bits as np.add.reduce only below 8 columns, where
-# numpy does not yet switch to pairwise summation. Kept: plain reduces cut
-# the benchmark's `verify` ops/s 51.6 -> 39.2 and `oracle` 247 -> 177.
+# reduction over axis 1 runs as a loop over columns instead, a call per
+# column, once the array has at least 16 (cols - 1) rows (in process, max
+# plus sum break even near 16, 32, 48, 64, 72 and 88 rows at 2 to 7
+# columns). The sum fold has the same bits as np.add.reduce only below 8
+# columns, where numpy does not yet switch to pairwise summation. Kept:
+# plain reduces cut the benchmark's `verify` ops/s 51.2 -> 38.9 and
+# `oracle` 375 -> 228.
 _FOLD_COLS = 8
+_FOLD_ROWS_PER_COL = 16
+
+
+def _folds(a: np.ndarray) -> bool:
+    rows, cols = a.shape
+    return 0 < cols < _FOLD_COLS and rows >= _FOLD_ROWS_PER_COL * (cols - 1)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """np.maximum.reduce(a, axis=1), folded over columns when rows are narrow."""
-    rows, cols = a.shape
-    if 0 < cols < _FOLD_COLS and rows > cols:
+    """np.maximum.reduce(a, axis=1), folded over columns when _folds(a)."""
+    if _folds(a):
         m = a[:, 0].copy()
-        for j in range(1, cols):
+        for j in range(1, a.shape[1]):
             np.maximum(m, a[:, j], out=m)
         return m
     return np.maximum.reduce(a, axis=1)
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """np.add.reduce(a, axis=1), folded over columns when rows are narrow."""
-    rows, cols = a.shape
-    if 0 < cols < _FOLD_COLS and rows > cols:
+    """np.add.reduce(a, axis=1), folded over columns when _folds(a)."""
+    if _folds(a):
         # add.reduce starts from +0.0, which turns an all -0.0 row into +0.0
         s = a[:, 0] + 0.0
-        for j in range(1, cols):
+        for j in range(1, a.shape[1]):
             s += a[:, j]
         return s
     return np.add.reduce(a, axis=1)

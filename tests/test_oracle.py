@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpvi import (Affine, Ball, Box, GridSpec, Halfspace, InvalidInputError,
                   Problem, ResourceError, ShapeError, SpaceSpec,
@@ -175,6 +179,121 @@ def test_blocked_full_scans_match_the_reference(monkeypatch, n, block):
     per = min(m, oracle._SCAN_BLOCK_ELEMS // (m * n))
     whole, rest = divmod(m, per)
     assert rows == [m] + [per * m] * whole + ([rest * m] if rest else [])
+
+
+@pytest.mark.parametrize("counts", [(2,), (9,), (2, 5), (7, 4), (2, 2, 2),
+                                    (3, 4, 5)])
+def test_extreme_points_of_a_box_grid_are_its_corners(counts):
+    kept = oracle._extreme_mask(np.ones(counts, dtype=bool))
+    corners = set(itertools.product(*[(0, c - 1) for c in counts]))
+    assert {tuple(map(int, ix)) for ix in np.argwhere(kept)} == corners
+
+
+def extreme_points_property(extreme_mask):
+    """A hypothesis test of an extreme-point helper on integer lattices
+    with random member masks: every kept point is a member, a random
+    integer functional has the same minimum over the kept points as over
+    all members (exact arithmetic), and no kept point lies between two
+    members next to it along an axis."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 3))
+        shape = tuple(data.draw(st.lists(st.integers(1, 6), min_size=n,
+                                         max_size=n)))
+        size = int(np.prod(shape))
+        member = np.array(data.draw(st.lists(st.booleans(), min_size=size,
+                                              max_size=size))).reshape(shape)
+        weights = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=n,
+                                              max_size=n)))
+        kept = extreme_mask(member)
+        assert not (kept & ~member).any()
+        values = np.indices(shape).reshape(n, -1).T @ weights
+        if member.any():
+            assert kept.any()
+            assert values[kept.reshape(-1)].min() == values[member.reshape(-1)].min()
+        for point in np.argwhere(kept):
+            for axis in range(n):
+                if 0 < point[axis] < shape[axis] - 1:
+                    before, after = point.copy(), point.copy()
+                    before[axis] -= 1
+                    after[axis] += 1
+                    assert not (member[tuple(before)] and member[tuple(after)])
+
+    return check
+
+
+def test_extreme_points_keep_every_minimum_and_drop_midpoints():
+    extreme_points_property(oracle._extreme_mask)()
+
+
+def _wrapping_extreme_mask(member):
+    keep = member.copy()
+    for axis in range(member.ndim):
+        keep &= ~(np.roll(member, 1, axis) & np.roll(member, -1, axis))
+    return keep
+
+
+def _one_axis_short_extreme_mask(member):
+    keep = member.copy()
+    for axis in range(member.ndim - 1):
+        line = np.moveaxis(member, axis, 0)
+        np.moveaxis(keep, axis, 0)[1:-1] &= ~(line[:-2] & line[2:])
+    return keep
+
+
+@pytest.mark.parametrize("mutant", [_wrapping_extreme_mask,
+                                    _one_axis_short_extreme_mask])
+def test_extreme_points_property_catches_broken_helpers(mutant):
+    with pytest.raises(AssertionError):
+        extreme_points_property(mutant)()
+
+
+def _bits(sol):
+    return (sol.accepted.shape, sol.accepted.tobytes(),
+            sol.worst_pairings.tobytes(), sol.searched)
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(19)
+    cases = [pytest.param(random_instance(rng, 2, p), (61, 61), id=f"box61-p{p}")
+             for p in (1.5, 2.0, 3.0)]
+    cases.append(pytest.param(random_instance(rng, 2, 2.0, ball=True),
+                              (31, 31), id="ball31-p2"))
+    cases.append(pytest.param(random_instance(rng, 3, 3.0), (9, 9, 9),
+                              id="cube9-p3"))
+    # every candidate survives the screen, and the scans accept them all
+    cases.append(pytest.param(random_instance(rng, 2, 3.0, scale=1e-9),
+                              (31, 31), id="near-zero31-p3"))
+    return cases
+
+
+@pytest.mark.parametrize("prob, counts", _equivalence_cases())
+def test_extreme_rivals_give_the_bits_of_every_member_as_rival(monkeypatch,
+                                                               prob, counts):
+    # np.copy keeps every member: the all-points screen's rival set
+    sol = grid_vi_solve(prob, GridSpec(counts))
+    monkeypatch.setattr(oracle, "_extreme_mask", np.copy)
+    assert _bits(grid_vi_solve(prob, GridSpec(counts))) == _bits(sol)
+    near_zero = np.all(np.abs(prob.mapping.matrix) <= 1e-9)
+    assert (sol.accepted.shape[0] == sol.searched) == near_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_oracle_matches_the_reference_on_random_small_grids(data):
+    n = data.draw(st.integers(1, 3))
+    counts = tuple(data.draw(st.lists(st.integers(2, 7), min_size=n, max_size=n)))
+    p = data.draw(st.one_of(st.just(2.0), st.floats(1.2, 4.0)))
+    ball = p == 2.0 and data.draw(st.booleans())
+    scale = data.draw(st.sampled_from([None, 1e-9]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    prob = random_instance(rng, n, p, ball=ball, scale=scale)
+    sol = grid_vi_solve(prob, GridSpec(counts))
+    accepted, worsts = reference_grid_vi_solve(prob, counts)
+    assert np.array_equal(sol.accepted, accepted)
+    assert np.array_equal(sol.worst_pairings, worsts)
 
 
 def test_grid_with_no_point_inside_the_set():

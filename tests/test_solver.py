@@ -815,8 +815,9 @@ def test_long_clamped_cli_solve_writes_the_reference_bytes(p, tmp_path,
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
 def test_picard_matches_the_reference_across_widths(n, p):
-    # n = 1 and 7 norm by column folds, 8 and 9 by numpy's pairwise row
-    # sum; n = 1000 runs blocks of 4
+    # n = 1 norms by the column fold, 7 by one reduce (its blocks are
+    # below the fold's row gate), 8 and 9 by numpy's pairwise row sum;
+    # n = 1000 runs blocks of 4
     rng = np.random.default_rng(n)
     b = _affine(rng, n)
     box = _box_cutting(rng, b)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lpvi import (InvalidInputError, ShapeError, SpaceSpec,
                   UnsupportedSpaceError, dual_exponent, duality_map, p_norm,
                   pairing)
+from lpvi import spaces
 from lpvi.spaces import (duality_map_rows, duality_norm_rows, norm_rows,
                          pairing_rows)
 
@@ -134,6 +135,41 @@ def test_row_kernels_match_axis_reductions_bit_for_bit(p, n):
             with np.errstate(over="ignore", invalid="ignore"):  # 1e300^2
                 assert same_bits(pairing_rows(a, ys),
                                  axis_pairing_rows(xs, ys))
+
+
+class UfuncSpy(np.ndarray):
+    """An array that records how each ufunc is applied to it: "reduce"
+    for one reduce call, "__call__" for an elementwise one. Views and
+    copies of it record into the same list."""
+
+    def __array_finalize__(self, obj):
+        self.methods = getattr(obj, "methods", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.methods.append(method)
+        inputs = [np.asarray(x) for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(o) for o in kwargs["out"])
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("cols", range(1, 8))
+def test_row_reductions_fold_from_16_rows_per_extra_column(cols):
+    # below the gate a call per column costs more than one reduce call
+    gate = 16 * (cols - 1)
+    rng = np.random.default_rng(cols)
+    for rows, folds in ((max(gate, 1), True), (gate - 1, False)):
+        if rows < 1:
+            continue
+        a = np.abs(rng.standard_normal((rows, cols)))
+        a[0] = -0.0
+        for kernel, reduce in ((spaces._row_max, np.maximum.reduce),
+                               (spaces._row_sum, np.add.reduce)):
+            spy = a.view(UfuncSpy)
+            spy.methods = []
+            out = np.asarray(kernel(spy))
+            assert ("reduce" not in spy.methods) == folds
+            assert same_bits(out, reduce(a, axis=1))
 
 
 @pytest.mark.parametrize("n", [*range(10, 65), 257, 1000])
