@@ -17,14 +17,17 @@ first screened against the v minimizing <Bu, v> over the grid's extreme
 points in C, which include every vertex of the hull of C's grid points
 (at p = 2 that v is the worst rival; without the screen the benchmark's
 `oracle` runs 15 ops/s, not 375). Only survivors get the full scan
-over all rivals, a block at a time: one duality-map call over the
-block's candidate x rival differences and one batched matrix product
-give the same bits as one scan per candidate. MAX_SCREEN_PAIRS bounds
-the pairs of grid points the screen could form, MAX_SCAN_ROWS the
-duality-map rows the full scans form. On a 2-core Intel Xeon VM (numpy
-2.4, OpenBLAS on one thread) a grid at the screen cap (376 x 376, a box
-at p = 3) takes about 0.13 s, one at the scan cap about 11 s (100 x 100
-under a near-zero map, where every candidate survives).
+over all rivals, a block at a time: the block's candidate x rival
+differences are written one axis at a time into one buffer that every
+block reuses, then one duality-map call over them and one batched matrix
+product give the same bits as one scan per candidate. The product's bits
+depend on the layout of J (an F-order copy of J changes them), so J stays
+in C order. MAX_SCREEN_PAIRS bounds the pairs of grid points the
+screen could form, MAX_SCAN_ROWS the duality-map rows the full scans
+form. On a 2-core Intel Xeon VM (numpy 2.4, OpenBLAS on one thread) a
+grid at the screen cap (376 x 376, a box at p = 3) takes about 0.13 s,
+one at the scan cap about 8 s (100 x 100 under a near-zero map, where
+every candidate survives).
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ _SCREEN_BLOCK_ELEMS = 1 << 16
 _SCREEN_MIN_ROWS = 16
 # each full-scan block's (candidates, m, n) rival array holds about this
 # many elements, but at least one candidate. Kept: one candidate per block
-# cuts the benchmark's `oracle` ops/s 247 -> 192 (op_ms.p90 9.6 -> 10.8)
+# cuts the benchmark's `oracle` ops/s 483 -> 270, and 2^15 and 2^16 read
+# 471 and 448
 _SCAN_BLOCK_ELEMS = 1 << 14
 # relative rounding gap allowed between the screen's pairing and the full
 # scan's pairing of the same rival (same J row, other reduction order)
@@ -172,10 +176,17 @@ def grid_vi_solve(problem: Problem, grid: GridSpec,
     accepted = [np.empty((0, n))]
     worsts = [np.empty(0)]
     per_block = max(1, _SCAN_BLOCK_ELEMS // max(m * n, 1))
+    coords = inside.T.copy()
+    diffs = np.empty((min(per_block, survivors.size), m, n))
     for start in range(0, survivors.size, per_block):
         block = survivors[start:start + per_block]
-        diffs = (inside[None] - inside[block, None]).reshape(-1, n)
-        rivals = duality_map_rows(diffs, p).reshape(block.size, m, n)
+        # the rival - candidate rows, written one axis at a time into the
+        # one buffer (the last short block takes a leading view of it)
+        rows = diffs[:block.size]
+        for axis in range(n):
+            np.subtract(coords[axis], coords[axis, block, None],
+                        out=rows[:, :, axis])
+        rivals = duality_map_rows(rows.reshape(-1, n), p).reshape(block.size, m, n)
         worst = np.min((rivals @ images[block][:, :, None])[:, :, 0], axis=1)
         ok = worst >= floors[block]
         accepted.append(inside[block[ok]])

@@ -88,8 +88,8 @@ def dual_exponent(p) -> float:
 # plus sum break even near 16, 32, 48, 64, 72 and 88 rows at 2 to 7
 # columns). The sum fold has the same bits as np.add.reduce only below 8
 # columns, where numpy does not yet switch to pairwise summation. Kept:
-# plain reduces cut the benchmark's `verify` ops/s 51.2 -> 38.9 and
-# `oracle` 375 -> 228.
+# plain reduces cut the benchmark's `verify` ops/s 51.2 -> 39.4 and
+# `oracle` 483 -> 268.
 _FOLD_COLS = 8
 _FOLD_ROWS_PER_COL = 16
 
@@ -97,6 +97,31 @@ _FOLD_ROWS_PER_COL = 16
 def _folds(a: np.ndarray) -> bool:
     rows, cols = a.shape
     return 0 < cols < _FOLD_COLS and rows >= _FOLD_ROWS_PER_COL * (cols - 1)
+
+
+# numpy also broadcasts a row scalar (a * v[:, None]) one narrow row at a
+# time, but a call per column pays for itself later than a fold does: in
+# process, over the duality kernel, near 512 rows at 2 columns and 1500 at
+# 3, 4096 at 4, and not by 16384 rows at 1 or 5 columns. So row scalars
+# go a column at a time on 2 or 3 columns and 1024 rows or more; the ufunc
+# is elementwise, so both paths give the same bits. Kept: broadcasts cut
+# the benchmark's `oracle` ops/s 483 -> 430.
+_SCALE_COLS = 4
+_SCALE_ROWS = 1024
+
+
+def _by_rows(ufunc, a: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """ufunc(a, v[:, None], out=out): each row of the 2-d array a with its
+    own scalar v[i], a call per column on 2 or 3 columns and 1024 rows or
+    more."""
+    rows, cols = a.shape
+    if not (1 < cols < _SCALE_COLS and rows >= _SCALE_ROWS):
+        return ufunc(a, v[:, None], out=out)
+    if out is None:
+        out = np.empty_like(a)
+    for j in range(cols):
+        ufunc(a[:, j], v, out=out[:, j])
+    return out
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -144,7 +169,7 @@ def _power_sums(mags: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
     m[(m == 0.0) | (m == math.inf)] = 1.0
     # `**=` keeps numpy's array power, whose last bits a Python-scalar
     # power would not reproduce
-    mags /= m[:, None]
+    _by_rows(np.divide, mags, m, out=mags)
     mags **= p
     return _row_sum(mags)
 
@@ -200,7 +225,7 @@ def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
     # frac = m / 2^e is the rescaled row's max, exactly
     frac, e = np.frexp(m)
     e = np.where(m > 0.0, e, 0)
-    scaled = np.ldexp(xs, -e[:, None])
+    scaled = _by_rows(np.ldexp, xs, -e)
     norms = None
     if p != 2.0 or with_norms:
         # one p-th-power row sum r^p serves both norms: |x| = r m, and the
@@ -226,7 +251,7 @@ def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
             factor[~zero] = scaled_norms[~zero] ** (2.0 - p)
             out = np.abs(scaled, out=mags)
             out **= p - 1.0
-            out *= factor[:, None]
+            _by_rows(np.multiply, out, factor, out=out)
             out *= np.sign(scaled)
         # above p of about 1100, |x|^(2-p) can overflow while |x_i|^(p-1)
         # underflows. With m the row max and s = sum_i (|x_i| / m)^p, the
@@ -245,7 +270,7 @@ def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
             out[big] = (m_big * t ** (p - 1.0) * s ** (2.0 / p - 1.0)
                         * np.sign(scaled[big]))
     out[zero] = 0.0
-    return np.ldexp(out, e[:, None], out=out), norms
+    return _by_rows(np.ldexp, out, e, out=out), norms
 
 
 def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from lpvi import (Affine, Ball, Box, GridSpec, Halfspace, InvalidInputError,
                   UnsupportedOracleError, WholeSpace, check_pairing_inequality,
                   grid_bounds, grid_vi_solve, hilbert_rule_factor,
                   pairing_inequality_sweep, picard_solve)
-from lpvi import oracle
+from lpvi import oracle, spaces
 from lpvi.maps import evaluate_rows
 from lpvi.sets import members_mask
 from lpvi.spaces import duality_map_rows, norm_rows, p_norm
@@ -181,6 +181,29 @@ def test_blocked_full_scans_match_the_reference(monkeypatch, n, block):
     assert rows == [m] + [per * m] * whole + ([rest * m] if rest else [])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scan_rows_are_the_broadcast_differences(monkeypatch, n):
+    # 3 candidates a block: 40, 49 and 125 candidates end on a short block
+    counts = SURVIVOR_GRIDS[n]
+    m = int(np.prod(counts))
+    monkeypatch.setattr(oracle, "_SCAN_BLOCK_ELEMS", 3 * m * n)
+    seen = []
+    monkeypatch.setattr(oracle, "duality_map_rows",
+                        lambda xs, p: seen.append(xs.copy()) or duality_map_rows(xs, p))
+    prob = random_instance(np.random.default_rng(n), n, 3.0, scale=1e-9)
+    grid_vi_solve(prob, GridSpec(counts))
+    lo, hi = grid_bounds(prob.cset)
+    axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(n)]
+    inside = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    starts = range(0, m, 3)
+    assert len(seen) == 1 + len(starts) and seen[-1].shape[0] < 3 * m
+    for start, rows in zip(starts, seen[1:]):
+        block = np.arange(start, min(start + 3, m))
+        want = (inside[None] - inside[block, None]).reshape(-1, n)
+        assert rows.flags.c_contiguous
+        assert rows.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("counts", [(2,), (9,), (2, 5), (7, 4), (2, 2, 2),
                                     (3, 4, 5)])
 def test_extreme_points_of_a_box_grid_are_its_corners(counts):
@@ -278,6 +301,18 @@ def test_extreme_rivals_give_the_bits_of_every_member_as_rival(monkeypatch,
     assert _bits(grid_vi_solve(prob, GridSpec(counts))) == _bits(sol)
     near_zero = np.all(np.abs(prob.mapping.matrix) <= 1e-9)
     assert (sol.accepted.shape[0] == sol.searched) == near_zero
+
+
+@pytest.mark.parametrize("prob, counts", _equivalence_cases())
+def test_column_paths_give_the_bits_of_the_plain_kernels(monkeypatch,
+                                                        prob, counts):
+    # no fold and no row scalar a column at a time: one reduce or one
+    # broadcast per array
+    sol = grid_vi_solve(prob, GridSpec(counts))
+    monkeypatch.setattr(spaces, "_folds", lambda a: False)
+    monkeypatch.setattr(spaces, "_by_rows",
+                        lambda ufunc, a, v, out=None: ufunc(a, v[:, None], out=out))
+    assert _bits(grid_vi_solve(prob, GridSpec(counts))) == _bits(sol)
 
 
 @settings(max_examples=60, deadline=None)

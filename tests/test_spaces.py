@@ -172,6 +172,70 @@ def test_row_reductions_fold_from_16_rows_per_extra_column(cols):
             assert same_bits(out, reduce(a, axis=1))
 
 
+ROW_SCALE_SPECIALS = [0.0, -0.0, 5e-324, -4e-320, math.inf, -math.inf,
+                      math.nan, 1e300, -1e-300]
+
+
+def check_by_rows(by_rows):
+    """by_rows(ufunc, a, v, out) must give the bits of ufunc(a, v[:, None])
+    for divide, ldexp and multiply, fresh and in place, at widths 1-8 and
+    on both sides of the 1024-row gate, with special entries in a and v;
+    and it must call the ufunc once per column exactly on 2 or 3 columns
+    and 1024 rows or more."""
+    rng = np.random.default_rng(21)
+    for cols in range(1, 9):
+        for rows in (3, 16 * cols, 1023, 1024, 1061):
+            a = rng.standard_normal((rows, cols))
+            a *= 10.0 ** rng.uniform(-8.0, 8.0, size=(rows, 1))
+            mask = rng.random((rows, cols)) < 0.3
+            a[mask] = rng.choice(ROW_SCALE_SPECIALS, size=int(mask.sum()))
+            v = rng.uniform(0.5, 4.0, size=rows)
+            mask = rng.random(rows) < 0.3
+            v[mask] = rng.choice(ROW_SCALE_SPECIALS, size=int(mask.sum()))
+            e = rng.integers(-1074, 1075, size=rows)
+            by_column = cols in (2, 3) and rows >= 1024
+            for ufunc, scale in ((np.divide, v), (np.ldexp, e),
+                                 (np.multiply, v)):
+                with np.errstate(all="ignore"):
+                    want = ufunc(a, scale[:, None])
+                    spy = a.view(UfuncSpy)
+                    spy.methods = []
+                    assert same_bits(np.asarray(by_rows(ufunc, spy, scale)), want)
+                    assert spy.methods == ["__call__"] * (cols if by_column else 1)
+                    inplace = a.copy()
+                    by_rows(ufunc, inplace, scale, out=inplace)
+                    assert same_bits(inplace, want)
+
+
+def test_row_scalars_keep_the_bits_of_the_broadcast():
+    check_by_rows(spaces._by_rows)
+
+
+def _by_rows_with_the_next_rows_scalar(ufunc, a, v, out=None):
+    if not (a.shape[1] in (2, 3) and a.shape[0] >= 1024):
+        return ufunc(a, v[:, None], out=out)
+    out = np.empty_like(a) if out is None else out
+    for j in range(a.shape[1]):
+        ufunc(a[:, j], np.roll(v, -1), out=out[:, j])
+    return out
+
+
+def _by_rows_without_the_last_column(ufunc, a, v, out=None):
+    if not (a.shape[1] in (2, 3) and a.shape[0] >= 1024):
+        return ufunc(a, v[:, None], out=out)
+    out = np.empty_like(a) if out is None else out
+    for j in range(a.shape[1] - 1):
+        ufunc(a[:, j], v, out=out[:, j])
+    return out
+
+
+@pytest.mark.parametrize("mutant", [_by_rows_with_the_next_rows_scalar,
+                                    _by_rows_without_the_last_column])
+def test_row_scalar_check_catches_broken_helpers(mutant):
+    with pytest.raises(AssertionError):
+        check_by_rows(mutant)
+
+
 @pytest.mark.parametrize("n", [*range(10, 65), 257, 1000])
 def test_hilbert_path_matches_the_general_formula_bit_for_bit(n):
     # p = 2 skips the norms and powers; the bits must stay the formula's
