@@ -15,19 +15,20 @@ the grid; larger scales accept proportionally wider bands.
 Most grid points fail against a single rival, so every candidate u is
 first screened against the v minimizing <Bu, v> over the grid's extreme
 points in C, which include every vertex of the hull of C's grid points
-(at p = 2 that v is the worst rival; without the screen the benchmark's
-`oracle` runs 15 ops/s, not 375). Only survivors get the full scan
+(at p = 2 that v is the worst rival). Only survivors get the full scan
 over all rivals, a block at a time: the block's candidate x rival
 differences are written one axis at a time into one buffer that every
 block reuses, then one duality-map call over them and one batched matrix
-product give the same bits as one scan per candidate. The product's bits
-depend on the layout of J (an F-order copy of J changes them), so J stays
-in C order. MAX_SCREEN_PAIRS bounds the pairs of grid points the
-screen could form, MAX_SCAN_ROWS the duality-map rows the full scans
-form. On a 2-core Intel Xeon VM (numpy 2.4, OpenBLAS on one thread) a
-grid at the screen cap (376 x 376, a box at p = 3) takes about 0.13 s,
-one at the scan cap about 8 s (100 x 100 under a near-zero map, where
-every candidate survives).
+product give the same bits as one scan per candidate. At p = 2 that call
+is one add, as grid differences span far less than the 2^1022 that the
+kernel's once-a-block test allows. The product's bits depend on the
+layout of J (an F-order copy changes them), so J stays in C order.
+MAX_SCREEN_PAIRS bounds the pairs of grid points the screen could form,
+MAX_SCAN_ROWS the duality-map rows the full scans form. On a 2-core
+Intel Xeon VM (numpy 2.4, OpenBLAS on one thread) a grid at the screen
+cap (376 x 376, a box at p = 3) takes about 0.13 s, one at the scan cap
+about 8 s (100 x 100 at p = 3 under a near-zero map, where every
+candidate survives).
 """
 
 from __future__ import annotations

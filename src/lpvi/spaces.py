@@ -9,12 +9,13 @@ valued and has the closed form
 
 with values measured in the dual norm |.|_q, 1/p + 1/q = 1. At p = 2 the
 formula collapses to the identity, which is how Hilbert-space results are
-recovered throughout the package. The kernel takes that Hilbert case
-without norms or powers, but keeps the formula's floating-point bits: -0.0
-comes back as +0.0, and an entry that underflows when its row is rescaled
-by a power of two comes back rounded (below about 2^-1022 times the row
-max) or flushed to 0.0 (below about 2^-1074 times it), so
-J([1e300, 1e-300]) = [1e300, 0.0].
+recovered throughout the package. In floating point the formula, which
+rescales each row by a power of two, turns -0.0 into +0.0 at p = 2 and
+rounds entries below about 2^-1022 times their row max (to 0.0 below
+about 2^-1074 times it): J([1e300, 1e-300]) = [1e300, 0.0]. The kernel
+looks for such entries once per block of rows; a finite block with none
+maps to x + 0.0, the same bits with no norms or powers, and any other
+block takes the formula.
 
 Since <x, J(x)> = |x|^2, every J(x) already holds |x|_p: duality_norm_rows
 returns J(x) and |x|_p of each row from one pass over |x|, one row max and
@@ -174,6 +175,15 @@ def _power_sums(mags: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
     return _row_sum(mags)
 
 
+def _moduli_norms(mags: np.ndarray, p: float) -> np.ndarray:
+    """norm_rows of the rows whose moduli are `mags`, which it overwrites."""
+    m = _row_max(mags)
+    s = _power_sums(mags, m, p)
+    s **= 1.0 / p
+    s *= m  # m is 1 on zero rows, whose sums are 0
+    return s
+
+
 def norm_rows(xs: np.ndarray, p: float) -> np.ndarray:
     """p-norm of each row of a 2-d array. Rows are scaled by their max
     modulus before exponentiation so large entries do not overflow. A row
@@ -181,14 +191,7 @@ def norm_rows(xs: np.ndarray, p: float) -> np.ndarray:
     has norm inf."""
     # C-order moduli: numpy sums a row of 8 or more entries in another
     # order when the array is in F order, so every layout gets C's bits
-    mags = np.abs(np.asarray(xs, dtype=float), order="C")
-    m = _row_max(mags)
-    zero = m == 0.0
-    s = _power_sums(mags, m, p)
-    s **= 1.0 / p
-    s *= m
-    s[zero] = 0.0
-    return s
+    return _moduli_norms(np.abs(np.asarray(xs, dtype=float), order="C"), p)
 
 
 def p_norm(x, p) -> float:
@@ -212,11 +215,26 @@ def pairing_rows(fs: np.ndarray, xs: np.ndarray) -> np.ndarray:
                                 order="C"))
 
 
+def _exact_at_two(mags: np.ndarray) -> bool:
+    """Whether every row of a block of moduli `mags` comes through the
+    p = 2 formula's power-of-two rescaling exactly: the largest modulus,
+    below 2^E (frexp), is finite and no nonzero one is below 2^(E - 1022),
+    a floor that underflows to 0.0 when no rescaling can round."""
+    top = float(mags.max()) if mags.size else math.nan
+    floor = math.ldexp(1.0, math.frexp(top)[1] - 1022)
+    return top < math.inf and not ((mags < floor) & (mags > 0.0)).any()
+
+
 def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
     """J(x) and |x|_p of each row of a 2-d array, in one pass over |x|.
     The Hilbert case skips the norms (None) unless `with_norms` is set."""
     xs = np.asarray(xs, dtype=float)
     mags = np.abs(xs, order="C")  # C-order sums, as in norm_rows
+    if p == 2.0 and _exact_at_two(mags):
+        # Hilbert case, J = I; `+ 0.0` turns -0.0 into +0.0 as the formula
+        # does. Kept: the formula here ran `oracle` at 272 ops/s, not 510
+        js = np.add(xs, 0.0, order="C")
+        return js, (_moduli_norms(mags, p) if with_norms else None)
     m = _row_max(mags)
     zero = m == 0.0
     # J is homogeneous of degree 1, so each row is rescaled by an exact
@@ -226,49 +244,38 @@ def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
     frac, e = np.frexp(m)
     e = np.where(m > 0.0, e, 0)
     scaled = _by_rows(np.ldexp, xs, -e)
-    norms = None
-    if p != 2.0 or with_norms:
-        # one p-th-power row sum r^p serves both norms: |x| = r m, and the
-        # rescaled row's norm is r frac. That is the sum the rescaled row
-        # would give, bit for bit: |s_i| / frac equals |x_i| / m for every
-        # entry the rescaling does not round, and a rounded entry is below
-        # 2^-1021 of its row max, so its p-th power cannot move a sum >= 1
-        r = _power_sums(mags, m, p) ** (1.0 / p)
-        norms = r * m
-        norms[zero] = 0.0
-    if p == 2.0:
-        # Hilbert case, J = I, with the bits of the formula below: `+ 0.0`
-        # turns -0.0 into +0.0 as |s|^1 sign(s) does, and the rescaling
-        # round trip flushes entries that underflow next to their row max.
-        # Kept: without it the benchmark's `oracle` ops/s fell 247 -> 205
-        out = scaled + 0.0
-    else:
-        scaled_norms = r * frac
-        factor = np.ones_like(scaled_norms)
-        # 0 ** (2 - p) is inf for p > 2; zero rows keep the factor 1. J is
-        # built in the buffer of the spent powers
-        with np.errstate(over="ignore", invalid="ignore"):
-            factor[~zero] = scaled_norms[~zero] ** (2.0 - p)
-            out = np.abs(scaled, out=mags)
-            out **= p - 1.0
-            _by_rows(np.multiply, out, factor, out=out)
-            out *= np.sign(scaled)
-        # above p of about 1100, |x|^(2-p) can overflow while |x_i|^(p-1)
-        # underflows. With m the row max and s = sum_i (|x_i| / m)^p, the
-        # same J(x)_i is m (|x_i| / m)^(p-1) s^(2/p - 1), whose factors stay
-        # in range; s^(2/p - 1) also keeps ties at the max right where
-        # |x| = m s^(1/p) rounds to m (p above about 1e16). Rows with a
-        # finite factor keep the formula above and its bits; so do infinite
-        # rows (norm inf), which come out of it not finite.
-        big = np.isinf(factor) & np.isfinite(scaled_norms)
-        if big.any():
-            m_big = frac[big][:, None]
-            t = np.abs(scaled[big]) / m_big
-            # summed again over the rescued rows' own t, as the two-pass
-            # formula summed them
-            s = _row_sum(t ** p)[:, None]
-            out[big] = (m_big * t ** (p - 1.0) * s ** (2.0 / p - 1.0)
-                        * np.sign(scaled[big]))
+    # one p-th-power row sum r^p serves both norms: |x| = r m, and the
+    # rescaled row's norm is r frac. That is the sum the rescaled row
+    # would give, bit for bit: |s_i| / frac equals |x_i| / m for every
+    # entry the rescaling does not round, and a rounded entry is below
+    # 2^-1021 of its row max, so its p-th power cannot move a sum >= 1
+    r = _power_sums(mags, m, p) ** (1.0 / p)
+    norms = r * m  # m is 1 on zero rows, whose sums are 0
+    scaled_norms = r * frac
+    # 0 ** (2 - p) is inf for p > 2; zero rows keep the factor 1. J is
+    # built in the buffer of the spent powers
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        factor = np.where(zero, 1.0, scaled_norms ** (2.0 - p))
+        out = np.abs(scaled, out=mags)
+        out **= p - 1.0
+        _by_rows(np.multiply, out, factor, out=out)
+        out *= np.sign(scaled)
+    # above p of about 1100, |x|^(2-p) can overflow while |x_i|^(p-1)
+    # underflows. With m the row max and s = sum_i (|x_i| / m)^p, the
+    # same J(x)_i is m (|x_i| / m)^(p-1) s^(2/p - 1), whose factors stay
+    # in range; s^(2/p - 1) also keeps ties at the max right where
+    # |x| = m s^(1/p) rounds to m (p above about 1e16). Rows with a
+    # finite factor keep the formula above and its bits; so do infinite
+    # rows (norm inf), which come out of it not finite.
+    big = np.isinf(factor) & np.isfinite(scaled_norms)
+    if big.any():
+        m_big = frac[big][:, None]
+        t = np.abs(scaled[big]) / m_big
+        # summed again over the rescued rows' own t, as the two-pass
+        # formula summed them
+        s = _row_sum(t ** p)[:, None]
+        out[big] = (m_big * t ** (p - 1.0) * s ** (2.0 / p - 1.0)
+                    * np.sign(scaled[big]))
     out[zero] = 0.0
     return _by_rows(np.ldexp, out, e, out=out), norms
 
@@ -290,11 +297,9 @@ def duality_map(x, p) -> np.ndarray:
     """Normalized duality map J(x) in (R^n, |.|_p).
 
     Satisfies pairing(J(x), x) = |x|_p^2 and |J(x)|_q = |x|_p with
-    q = p/(p-1). At p = 2 it returns x with two exceptions in floating
-    point, both those of the general formula: -0.0 becomes +0.0, and an
-    entry that underflows when its row is rescaled by a power of two loses
-    low bits or is flushed to 0.0 (duality_map([1e300, 1e-300], 2) is
-    [1e300, 0.0]).
+    q = p/(p-1). At p = 2 it returns x but for the rounding the module
+    docstring names: -0.0 becomes +0.0, and duality_map([1e300, 1e-300], 2)
+    is [1e300, 0.0].
     """
     x = as_vector(x)
     p = check_exponent(p)

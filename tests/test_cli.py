@@ -7,6 +7,7 @@ import sys
 import textwrap
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -476,6 +477,75 @@ def test_oracle_agreement_at_a_huge_exponent(tmp_path, capsys):
     record = json.loads(out)
     assert record["agreement"] == "pass"
     assert record["accepted"] == [[-0.5, -0.5]]
+
+
+# B = s (x - 1/2) on [0, 1]; a 5-point grid has the exact step h = 1/4
+UNIT_LINE = """
+    [space]
+    n = 1
+    p = 2
+
+    [set]
+    kind = box
+    lo = 0
+    hi = 1
+
+    [map]
+    kind = affine
+    matrix = {s}
+    offset = {offset}
+
+    [solver]
+    lambda = 0.5
+"""
+H = 0.25
+NEAR_BOUND = H + 1e-12        # both as cmd_oracle rounds them
+FAR_BOUND = 2.0 * H + 1e-12
+
+
+BEYOND = 2.0 ** -40           # about 9e-13, past either bound's 1e-12
+
+
+@pytest.mark.parametrize("s, point, near, far, agreement", [
+    # s = 1 accepts 1/2 alone, so the nearest accepted point is the farthest
+    (1.0, 0.25, H, H, "pass"),
+    (1.0, 0.5 - NEAR_BOUND, NEAR_BOUND, NEAR_BOUND, "pass"),
+    (1.0, 0.5 - NEAR_BOUND - BEYOND, NEAR_BOUND + BEYOND,
+     NEAR_BOUND + BEYOND, "fail"),
+    # s = 1/2 accepts 1/4, 1/2 and 3/4
+    (0.5, 0.25, 0.0, 2.0 * H, "pass"),
+    (0.5, 0.75 - FAR_BOUND, FAR_BOUND - 0.5, FAR_BOUND, "pass"),
+    (0.5, 0.75 - FAR_BOUND - BEYOND, FAR_BOUND - 0.5 + BEYOND,
+     FAR_BOUND + BEYOND, "fail"),
+])
+def test_oracle_agreement_holds_up_to_its_slack_and_no_further(
+        tmp_path, capsys, monkeypatch, s, point, near, far, agreement):
+    # the solver's point is placed by hand, so that the nearest and the
+    # farthest accepted points lie exactly h and 2h from it, exactly at
+    # each bound, and just beyond one bound while the other holds
+    cfg = write(tmp_path, UNIT_LINE.format(s=s, offset=-s / 2.0))
+    monkeypatch.setattr(lpvi.cli, "solve", lambda *args, **kwargs: SimpleNamespace(
+        final_point=np.array([point]), status=lpvi.SolveStatus.CONVERGED))
+    code, out, err = run(capsys, "oracle", "--config", cfg, "--grid", "5")
+    record = json.loads(out)
+    assert record["accepted"] == ([[0.5]] if s == 1.0
+                                  else [[0.25], [0.5], [0.75]])
+    assert (record["cell"], record["nearest_accepted_linf"],
+            record["farthest_accepted_linf"]) == (H, near, far)
+    assert (code, err, record["agreement"]) == (int(agreement == "fail"), "",
+                                                agreement)
+
+
+def test_oracle_starts_the_solver_at_the_centre_of_the_set(tmp_path, capsys):
+    # the solution is the centre of [0, 1], so one iteration from the
+    # default start converges, and from any other start it does not
+    text = UNIT_LINE.format(s=1.0, offset=-0.5) + "    max_iter = 1\n"
+    code, out, _ = run(capsys, "oracle", "--config", write(tmp_path, text),
+                       "--grid", "5")
+    record = json.loads(out)
+    assert code == 0 and record["agreement"] == "pass"
+    assert record["solver_status"] == "converged"
+    assert record["solver_point"] == [0.5]
 
 
 def test_oracle_skips_when_everything_is_accepted(tmp_path, capsys):

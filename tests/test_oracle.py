@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -313,6 +314,45 @@ def test_column_paths_give_the_bits_of_the_plain_kernels(monkeypatch,
     monkeypatch.setattr(spaces, "_by_rows",
                         lambda ufunc, a, v, out=None: ufunc(a, v[:, None], out=out))
     assert _bits(grid_vi_solve(prob, GridSpec(counts))) == _bits(sol)
+
+
+def check_scan_takes_the_add(exact):
+    """With exact(mags) as the duality kernel's once-a-block test, a p = 2
+    grid under a near-zero map, where every candidate survives to the full
+    scan, must map every screen and scan block by the Hilbert add: no
+    np.ldexp or np.frexp call, which only the general formula makes."""
+    calls = []
+
+    def counted(ufunc):
+        def call(*args, **kwargs):
+            calls.append(ufunc.__name__)
+            return ufunc(*args, **kwargs)
+        return call
+
+    prob = random_instance(np.random.default_rng(25), 2, 2.0, scale=1e-9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_exact_at_two", exact)
+        mp.setattr(np, "ldexp", counted(np.ldexp))
+        mp.setattr(np, "frexp", counted(np.frexp))
+        sol = grid_vi_solve(prob, GridSpec((9, 9)))
+    assert sol.accepted.shape[0] == sol.searched == 81
+    assert calls == []
+
+
+def test_p2_scan_maps_its_blocks_by_the_hilbert_add():
+    check_scan_takes_the_add(spaces._exact_at_two)
+
+
+def _exact_counting_zeros(mags):
+    top = float(mags.max()) if mags.size else math.nan
+    floor = math.ldexp(1.0, math.frexp(top)[1] - 1022)
+    return top < math.inf and not (mags < floor).any()
+
+
+def test_scan_check_catches_a_test_that_counts_zeros():
+    # the zero coordinates of grid differences would force the formula
+    with pytest.raises(AssertionError):
+        check_scan_takes_the_add(_exact_counting_zeros)
 
 
 @settings(max_examples=60, deadline=None)

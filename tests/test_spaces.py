@@ -281,6 +281,117 @@ def test_hilbert_path_edge_rows(row, expected):
     assert same_bits(duality_map(row, 2), np.array(expected))
 
 
+def general_formula(xs, p):
+    """J(x) and |x|_p from the kernel with the Hilbert add switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_exact_at_two", lambda mags: False)
+        return spaces._duality_rows(xs, p, True)
+
+
+def clean_rows(rng, rows, n):
+    """Rows over 16 decades with signed zeros, but no entry 2^1022 times
+    below the largest: every block of them takes the Hilbert add."""
+    xs = rng.standard_normal((rows, n))
+    xs *= 10.0 ** rng.uniform(-8.0, 8.0, size=(rows, 1))
+    mask = rng.random((rows, n)) < 0.2
+    xs[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+    xs[0] = -0.0
+    return xs
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_hilbert_add_keeps_the_bits_of_the_formula_on_clean_rows(n):
+    # the oracle's widths (1-3) and both sides of the 8-wide fold limit, in
+    # C order, F order and a strided view
+    rng = np.random.default_rng([n, 22])
+    for rows in (1, 3, 1200):
+        xs = clean_rows(rng, rows, n)
+        wide = np.repeat(xs, 2, axis=1)
+        for a in (xs, np.asfortranarray(xs), wide[:, ::2]):
+            assert spaces._exact_at_two(np.abs(a))
+            js, norms = duality_norm_rows(a, 2.0)
+            want_js, want_norms = general_formula(a, 2.0)
+            assert same_bits(js, want_js) and same_bits(norms, want_norms)
+            # C order whatever the input's layout, as the formula gives
+            assert js.flags.c_contiguous and want_js.flags.c_contiguous
+            assert same_bits(js, axis_duality_map_rows(xs, 2.0))
+            assert same_bits(js, xs + 0.0)
+            assert same_bits(duality_map_rows(a, 2.0), js)
+            assert same_bits(norms, norm_rows(xs, 2.0))
+            assert same_bits(norms, axis_norm_rows(xs, 2.0))
+
+
+# frexp(1.5) = (0.75, 1): a block whose largest modulus is 1.5 has E = 1,
+# and its floor 2^(E - 1022) is 2^-1021
+FLOOR = 2.0 ** -1021
+BIGGEST = np.finfo(float).max  # E = 1024, floor 4.0
+
+
+def exactness_blocks():
+    """(block, whether the Hilbert add may take it) at the edges of the
+    once-a-block test."""
+    return [
+        (np.array([[1.5, FLOOR], [-FLOOR, 0.0]]), True),
+        # one ulp below the floor rounds when its row is rescaled by 2^-1
+        (np.array([[1.5, np.nextafter(FLOOR, 0.0)], [1.0, -0.0]]), False),
+        (np.array([[BIGGEST, -4.0]]), True),
+        (np.array([[BIGGEST, np.nextafter(4.0, 0.0)]]), False),
+        # at E = -52 the floor is the least subnormal; below, it is 0.0
+        (np.array([[2.0 ** -53, 5e-324]]), True),
+        (np.array([[2.0 ** -60, -5e-324, 0.0]]), True),
+        (np.array([[1.0, 5e-324]]), False),               # flushed to 0.0
+        (np.array([[2.0 ** -52, 5e-324]]), False),
+        # rows whose maxima lie 2^1000 apart
+        (np.array([[2.0 ** 500, 1.0], [2.0 ** -500, -2.0 ** -510]]), True),
+        (np.array([[2.0 ** 600, 3.0], [2.0 ** -500, 0.0]]), False),
+        (np.array([[1.0, np.nan], [2.0, 3.0]]), False),
+        (np.array([[np.inf, 1.0], [2.0, -3.0]]), False),
+        (np.array([[-np.inf, np.nan]]), False),
+        (np.empty((0, 3)), False),
+    ]
+
+
+def check_exactness_test(exact):
+    """With exact(mags) as the kernel's once-a-block test, each block above
+    must take the path listed and map, at p = 2, to the general formula's
+    bits (and, when finite, the axis reference's); a block that takes the
+    add maps to x + 0.0."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_exact_at_two", exact)
+        for block, hilbert in exactness_blocks():
+            assert exact(np.abs(block)) == hilbert
+            with np.errstate(invalid="ignore"):
+                js, norms = duality_norm_rows(block, 2.0)
+                want_js, want_norms = general_formula(block, 2.0)
+                assert same_bits(js, want_js) and same_bits(norms, want_norms)
+                assert js.flags.c_contiguous
+                if np.isfinite(block).all():
+                    assert same_bits(js, axis_duality_map_rows(block, 2.0))
+            if hilbert:
+                assert same_bits(js, block + 0.0)
+
+
+def test_exactness_test_draws_its_line_at_the_floor():
+    check_exactness_test(spaces._exact_at_two)
+
+
+def _exact_one_binade_lower(mags):
+    top = float(mags.max()) if mags.size else math.nan
+    floor = math.ldexp(1.0, math.frexp(top)[1] - 1023)
+    return top < math.inf and not ((mags < floor) & (mags > 0.0)).any()
+
+
+def _exact_for_every_finite_block(mags):
+    return mags.size > 0 and bool(np.isfinite(mags).all())
+
+
+@pytest.mark.parametrize("mutant", [_exact_one_binade_lower,
+                                    _exact_for_every_finite_block])
+def test_exactness_check_catches_broken_tests(mutant):
+    with pytest.raises(AssertionError):
+        check_exactness_test(mutant)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_rows_that_are_not_finite_stay_that_way(p):
     rng = np.random.default_rng(int(p * 10))
