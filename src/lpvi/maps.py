@@ -27,9 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import EstimationError, EvaluationError, InvalidInputError, ShapeError
-from .sets import bounding_box, sample_in_set
-from .spaces import (as_vector, check_exponent, duality_norm_rows, norm_rows,
-                     pairing_rows)
+from .sets import bounding_box, sample_budget, sample_in_set
+from .spaces import (as_vector, check_dimension, check_exponent,
+                     duality_norm_rows, norm_rows, pairing_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +85,7 @@ class BlackBox:
     dim: int
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise InvalidInputError(f"dimension must be positive, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", check_dimension(self.dim))
 
 
 Mapping = Affine | ResidualOfContraction | BlackBox
@@ -176,10 +174,12 @@ class PairSample:
 def draw_pairs(mapping, region, p, pairs: int, seed: int,
                bounds=None) -> PairSample:
     """Draw seeded pairs from the region (or `bounds`, which an unbounded one
-    needs), drop those with |x - y|_p < 1e-12 and form the probes' inputs."""
+    needs), drop those with |x - y|_p < 1e-12 and form the probes' inputs.
+    Needs 1 <= pairs <= sample_budget() // 2: each pair takes two points."""
     p = check_exponent(p)
-    if pairs < 1:
-        raise InvalidInputError(f"sample_pairs must be >= 1, got {pairs}")
+    most = sample_budget() // 2
+    if not 1 <= pairs <= most:
+        raise InvalidInputError(f"pairs must be between 1 and {most}, got {pairs}")
     if bounds is None and bounding_box(region) is None:
         raise EstimationError(
             "region is unbounded: supply a bounds box for sampling")

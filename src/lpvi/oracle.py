@@ -27,7 +27,7 @@ MAX_SCREEN_PAIRS bounds the pairs of grid points the screen could form,
 MAX_SCAN_ROWS the duality-map rows the full scans form. On a 2-core
 Intel Xeon VM (numpy 2.4, OpenBLAS on one thread) a grid at the screen
 cap (376 x 376, a box at p = 3) takes about 0.13 s, one at the scan cap
-about 8 s (100 x 100 at p = 3 under a near-zero map, where every
+about 4.5 s (100 x 100 at p = 3 under a near-zero map, where every
 candidate survives).
 """
 
@@ -42,8 +42,9 @@ from .errors import InvalidInputError, ResourceError, ShapeError, UnsupportedOra
 from .maps import evaluate_rows
 from .sets import bounding_box, members_mask
 from .solver import Problem
-from .spaces import (as_vector, check_exponent, duality_map_rows,
-                     duality_norm_rows, norm_rows, pairing_rows, row_blocks)
+from .spaces import (as_vector, check_dimension, check_exponent,
+                     duality_map_rows, duality_norm_rows, norm_rows,
+                     pairing_rows, row_blocks)
 
 MAX_GRID_DIM = 3
 MAX_SCREEN_PAIRS = 20_000_000_000
@@ -70,7 +71,8 @@ class GridSpec:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(check_dimension(c, "grid point count")
+                       for c in self.counts)
         if len(counts) == 0:
             raise InvalidInputError("grid needs at least one axis")
         if any(c < 2 for c in counts):

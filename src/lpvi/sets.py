@@ -31,7 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRetractionError
-from .spaces import as_vector, check_exponent, duality_map_rows, norm_rows
+from .spaces import (as_vector, check_dimension, check_exponent,
+                     duality_map_rows, norm_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +42,7 @@ class WholeSpace:
     dim: int
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise InvalidInputError(f"dimension must be positive, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", check_dimension(self.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +73,10 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise InvalidInputError(f"dimension must be positive, got {self.dim}")
+        object.__setattr__(self, "dim", check_dimension(self.dim))
         r = float(self.radius)
         if not np.isfinite(r) or r <= 0.0:
             raise InvalidInputError(f"radius must be positive and finite, got {self.radius}")
-        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "radius", r)
 
 
@@ -252,6 +249,11 @@ _SAMPLE_CHUNK = 512
 _MAX_CHUNKS = 10_000
 
 
+def sample_budget() -> int:
+    """The most points sample_in_set draws, and so keeps, in one call."""
+    return _MAX_CHUNKS * _SAMPLE_CHUNK
+
+
 def sample_in_set(cset, count: int, seed: int, bounds=None) -> np.ndarray:
     """Draw `count` seeded uniform points from the set, as rows.
 
@@ -261,7 +263,7 @@ def sample_in_set(cset, count: int, seed: int, bounds=None) -> np.ndarray:
     sequence is a prefix of any longer request. A count over the budget of
     _MAX_CHUNKS chunks, or one the region cannot fill in it, is refused.
     """
-    budget = _MAX_CHUNKS * _SAMPLE_CHUNK
+    budget = sample_budget()
     if not 0 <= count <= budget:
         raise InvalidInputError(f"count must be between 0 and {budget}, got {count}")
     if bounds is None:

@@ -61,6 +61,16 @@ def as_vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
     return arr
 
 
+def check_dimension(n, name: str = "dimension") -> int:
+    """Validate a dimension or other count, returning it as an int. Needs
+    an integer (numpy's too, not bool) n >= 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise InvalidInputError(f"{name} must be positive, got {n}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """The space (R^n, |.|_p)."""
@@ -69,11 +79,7 @@ class SpaceSpec:
     p: float
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise InvalidInputError(f"dimension must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise InvalidInputError(f"dimension must be positive, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_dimension(self.n))
         object.__setattr__(self, "p", check_exponent(self.p))
 
 
@@ -83,67 +89,26 @@ def dual_exponent(p) -> float:
     return p / (p - 1.0)
 
 
-# numpy reduces a narrow row one row at a time, so below this width a
-# reduction over axis 1 runs as a loop over columns instead, a call per
-# column, once the array has at least 16 (cols - 1) rows (in process, max
-# plus sum break even near 16, 32, 48, 64, 72 and 88 rows at 2 to 7
-# columns). The sum fold has the same bits as np.add.reduce only below 8
-# columns, where numpy does not yet switch to pairwise summation. Kept:
-# plain reduces cut the benchmark's `verify` ops/s 51.2 -> 39.4 and
-# `oracle` 483 -> 268.
-_FOLD_COLS = 8
-_FOLD_ROWS_PER_COL = 16
+# The moduli and J buffers of rows narrower than 8 entries are worked in F
+# order, where numpy reduces and broadcasts a column at a time, not a short
+# row at a time. The width is not tuned: below 8 entries numpy sums a row
+# in the same order in either layout, and from 8 up its pairwise sum takes
+# another order in F order, so wider rows stay in C order and every input
+# layout gets C's bits. Kept: C order at every width cut the benchmark's
+# `verify` ops/s 54.2 -> 40.4 and `oracle` 544 -> 487.
+def _order(a: np.ndarray) -> str:
+    return "F" if a.shape[1] < 8 else "C"
 
 
-def _folds(a: np.ndarray) -> bool:
-    rows, cols = a.shape
-    return 0 < cols < _FOLD_COLS and rows >= _FOLD_ROWS_PER_COL * (cols - 1)
-
-
-# numpy also broadcasts a row scalar (a * v[:, None]) one narrow row at a
-# time, but a call per column pays for itself later than a fold does: in
-# process, over the duality kernel, near 512 rows at 2 columns and 1500 at
-# 3, 4096 at 4, and not by 16384 rows at 1 or 5 columns. So row scalars
-# go a column at a time on 2 or 3 columns and 1024 rows or more; the ufunc
-# is elementwise, so both paths give the same bits. Kept: broadcasts cut
-# the benchmark's `oracle` ops/s 483 -> 430.
-_SCALE_COLS = 4
-_SCALE_ROWS = 1024
-
-
-def _by_rows(ufunc, a: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
-    """ufunc(a, v[:, None], out=out): each row of the 2-d array a with its
-    own scalar v[i], a call per column on 2 or 3 columns and 1024 rows or
-    more."""
-    rows, cols = a.shape
-    if not (1 < cols < _SCALE_COLS and rows >= _SCALE_ROWS):
-        return ufunc(a, v[:, None], out=out)
-    if out is None:
-        out = np.empty_like(a)
-    for j in range(cols):
-        ufunc(a[:, j], v, out=out[:, j])
+def _c_order(a: np.ndarray) -> np.ndarray:
+    """a, C-contiguous. An F-order a is copied a column at a time: numpy's
+    one-call copy writes a narrow row at a time, 6x slower at 6724 x 2."""
+    if a.flags.c_contiguous:
+        return a
+    out = np.empty(a.shape)
+    for j in range(a.shape[1]):
+        out[:, j] = a[:, j]
     return out
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """np.maximum.reduce(a, axis=1), folded over columns when _folds(a)."""
-    if _folds(a):
-        m = a[:, 0].copy()
-        for j in range(1, a.shape[1]):
-            np.maximum(m, a[:, j], out=m)
-        return m
-    return np.maximum.reduce(a, axis=1)
-
-
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """np.add.reduce(a, axis=1), folded over columns when _folds(a)."""
-    if _folds(a):
-        # add.reduce starts from +0.0, which turns an all -0.0 row into +0.0
-        s = a[:, 0] + 0.0
-        for j in range(1, a.shape[1]):
-            s += a[:, j]
-        return s
-    return np.add.reduce(a, axis=1)
 
 
 # row_blocks cuts an array into row blocks of about this many entries, so
@@ -170,14 +135,14 @@ def _power_sums(mags: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
     m[(m == 0.0) | (m == math.inf)] = 1.0
     # `**=` keeps numpy's array power, whose last bits a Python-scalar
     # power would not reproduce
-    _by_rows(np.divide, mags, m, out=mags)
+    mags /= m[:, None]
     mags **= p
-    return _row_sum(mags)
+    return np.add.reduce(mags, axis=1)
 
 
 def _moduli_norms(mags: np.ndarray, p: float) -> np.ndarray:
     """norm_rows of the rows whose moduli are `mags`, which it overwrites."""
-    m = _row_max(mags)
+    m = np.maximum.reduce(mags, axis=1)
     s = _power_sums(mags, m, p)
     s **= 1.0 / p
     s *= m  # m is 1 on zero rows, whose sums are 0
@@ -189,9 +154,8 @@ def norm_rows(xs: np.ndarray, p: float) -> np.ndarray:
     modulus before exponentiation so large entries do not overflow. A row
     with a NaN has a NaN norm, and any other row with an infinite entry
     has norm inf."""
-    # C-order moduli: numpy sums a row of 8 or more entries in another
-    # order when the array is in F order, so every layout gets C's bits
-    return _moduli_norms(np.abs(np.asarray(xs, dtype=float), order="C"), p)
+    xs = np.asarray(xs, dtype=float)
+    return _moduli_norms(np.abs(xs, order=_order(xs)), p)
 
 
 def p_norm(x, p) -> float:
@@ -210,9 +174,9 @@ def pairing(f, x) -> float:
 
 def pairing_rows(fs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Row-wise pairing of two equally shaped 2-d arrays. The products are
-    summed in C order whatever the layout of the inputs."""
-    return _row_sum(np.multiply(np.asarray(fs, float), np.asarray(xs, float),
-                                order="C"))
+    summed in C's order whatever the layout of the inputs."""
+    fs, xs = np.asarray(fs, float), np.asarray(xs, float)
+    return np.add.reduce(np.multiply(fs, xs, order=_order(xs)), axis=1)
 
 
 def _exact_at_two(mags: np.ndarray) -> bool:
@@ -229,13 +193,13 @@ def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
     """J(x) and |x|_p of each row of a 2-d array, in one pass over |x|.
     The Hilbert case skips the norms (None) unless `with_norms` is set."""
     xs = np.asarray(xs, dtype=float)
-    mags = np.abs(xs, order="C")  # C-order sums, as in norm_rows
+    mags = np.abs(xs, order=_order(xs))
     if p == 2.0 and _exact_at_two(mags):
         # Hilbert case, J = I; `+ 0.0` turns -0.0 into +0.0 as the formula
         # does. Kept: the formula here ran `oracle` at 272 ops/s, not 510
         js = np.add(xs, 0.0, order="C")
         return js, (_moduli_norms(mags, p) if with_norms else None)
-    m = _row_max(mags)
+    m = np.maximum.reduce(mags, axis=1)
     zero = m == 0.0
     # J is homogeneous of degree 1, so each row is rescaled by an exact
     # power of two first; |x_i|^(p-1) and |x|^(2-p) can over/underflow
@@ -243,7 +207,7 @@ def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
     # frac = m / 2^e is the rescaled row's max, exactly
     frac, e = np.frexp(m)
     e = np.where(m > 0.0, e, 0)
-    scaled = _by_rows(np.ldexp, xs, -e)
+    scaled = np.ldexp(xs, -e[:, None], order=_order(xs))
     # one p-th-power row sum r^p serves both norms: |x| = r m, and the
     # rescaled row's norm is r frac. That is the sum the rescaled row
     # would give, bit for bit: |s_i| / frac equals |x_i| / m for every
@@ -258,7 +222,7 @@ def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
         factor = np.where(zero, 1.0, scaled_norms ** (2.0 - p))
         out = np.abs(scaled, out=mags)
         out **= p - 1.0
-        _by_rows(np.multiply, out, factor, out=out)
+        out *= factor[:, None]
         out *= np.sign(scaled)
     # above p of about 1100, |x|^(2-p) can overflow while |x_i|^(p-1)
     # underflows. With m the row max and s = sum_i (|x_i| / m)^p, the
@@ -273,11 +237,11 @@ def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
         t = np.abs(scaled[big]) / m_big
         # summed again over the rescued rows' own t, as the two-pass
         # formula summed them
-        s = _row_sum(t ** p)[:, None]
+        s = np.add.reduce(t ** p, axis=1)[:, None]
         out[big] = (m_big * t ** (p - 1.0) * s ** (2.0 / p - 1.0)
                     * np.sign(scaled[big]))
     out[zero] = 0.0
-    return _by_rows(np.ldexp, out, e, out=out), norms
+    return _c_order(np.ldexp(out, e[:, None], out=out)), norms
 
 
 def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:

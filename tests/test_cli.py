@@ -1008,7 +1008,10 @@ def test_check_map_takes_every_point_of_the_sampler_budget(tmp_path, capsys,
     assert (code, out, err) == (0, full, "")
     code, out, err = run(capsys, "check-map", "--config", cfg, "--count", "769")
     assert (code, out) == (2, "")
-    assert err == "error: count must be between 0 and 1536, got 1538\n"
+    assert err == "error: pairs must be between 1 and 768, got 769\n"
+    code, out, err = run(capsys, "check-map", "--config", cfg, "--count", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: pairs must be between 1 and 768, got 0\n"
 
 
 def test_verify_retraction_fails_a_clamp_onto_a_shifted_box(capsys, monkeypatch):

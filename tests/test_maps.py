@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ def test_blackbox_wrong_shape_rejected():
     b = BlackBox(lambda x: np.zeros(3), 2)
     with pytest.raises(EvaluationError):
         evaluate(b, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("dim", [3.7, True, "3", float("nan")])
+def test_black_box_dimension_must_be_an_integer(dim):
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"dimension must be an integer, got {dim!r}")):
+        BlackBox(lambda x: x, dim)
+    assert type(BlackBox(lambda x: x, np.int32(3)).dim) is int
 
 
 def test_evaluate_checks_dimension():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -307,12 +308,10 @@ def test_extreme_rivals_give_the_bits_of_every_member_as_rival(monkeypatch,
 @pytest.mark.parametrize("prob, counts", _equivalence_cases())
 def test_column_paths_give_the_bits_of_the_plain_kernels(monkeypatch,
                                                         prob, counts):
-    # no fold and no row scalar a column at a time: one reduce or one
-    # broadcast per array
+    # C-order buffers at every width: numpy then reduces and broadcasts
+    # the oracle's narrow rows a row at a time
     sol = grid_vi_solve(prob, GridSpec(counts))
-    monkeypatch.setattr(spaces, "_folds", lambda a: False)
-    monkeypatch.setattr(spaces, "_by_rows",
-                        lambda ufunc, a, v, out=None: ufunc(a, v[:, None], out=out))
+    monkeypatch.setattr(spaces, "_order", lambda a: "C")
     assert _bits(grid_vi_solve(prob, GridSpec(counts))) == _bits(sol)
 
 
@@ -388,6 +387,15 @@ def test_full_scan_cap_is_checked_before_the_scans(monkeypatch):
     assert len(calls) < 121  # screen blocks only: no candidate was scanned
     monkeypatch.setattr(oracle, "MAX_SCAN_ROWS", 121 * 121)
     assert grid_vi_solve(prob, GridSpec((11, 11))).accepted.shape[0] == 121
+
+
+@pytest.mark.parametrize("count", [2.9, True, "3", float("nan")])
+def test_grid_point_counts_must_be_integers(count):
+    # (2.9, 3) once built a 2 x 3 grid
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"grid point count must be an integer, got {count!r}")):
+        GridSpec((count, 3))
+    assert GridSpec((np.int64(3), 4)).counts == (3, 4)
 
 
 def test_grid_spec_validation():

@@ -15,6 +15,17 @@ from lpvi.spaces import norm_rows
 UNIT_BOX = Box([0.0, 0.0], [2.0, 2.0])
 
 
+@pytest.mark.parametrize("make", [WholeSpace, lambda n: Ball(n, 1.0)],
+                         ids=["whole-space", "ball"])
+@pytest.mark.parametrize("dim", [2.5, 2.9, True, "3", float("nan")])
+def test_set_dimension_must_be_an_integer(make, dim):
+    # not truncated, not parsed, and no bare ValueError
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"dimension must be an integer, got {dim!r}")):
+        make(dim)
+    assert make(np.int64(3)).dim == 3 and type(make(np.int64(3)).dim) is int
+
+
 def test_contains_box():
     assert contains(UNIT_BOX, [1.0, 1.0])
     assert contains(UNIT_BOX, [2.0, 0.0])          # boundary counts

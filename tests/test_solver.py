@@ -466,8 +466,8 @@ def _bit_identity_cases():
         Problem(SpaceSpec(2, 2.0), Box([0.0, 0.0], [1.0, 1.0]),
                 Affine(np.eye(2), [-0.5, -0.5])),
         0.01, [1.0, 1.0], 40, id="iteration-limit"))
-    # n = 1 norms its (2, 1) buffer by the column fold; n = 8 is the width
-    # where numpy's row sum turns pairwise
+    # n = 1 norms its (2, 1) buffer in F order; n = 8 is the width where
+    # numpy's row sum turns pairwise and the kernels stay in C order
     for p in (1.5, 3.0):
         for n in (1, 8):
             b = _affine(rng, n)
@@ -815,9 +815,8 @@ def test_long_clamped_cli_solve_writes_the_reference_bytes(p, tmp_path,
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
 def test_picard_matches_the_reference_across_widths(n, p):
-    # n = 1 norms by the column fold, 7 by one reduce (its blocks are
-    # below the fold's row gate), 8 and 9 by numpy's pairwise row sum;
-    # n = 1000 runs blocks of 4
+    # n = 1 and 7 norm F-order moduli, 8 and 9 C-order ones by numpy's
+    # pairwise row sum; n = 1000 runs blocks of 4
     rng = np.random.default_rng(n)
     b = _affine(rng, n)
     box = _box_cutting(rng, b)
