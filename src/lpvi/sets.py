@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRetractionError
-from .spaces import (as_vector, check_dimension, check_exponent,
+from .spaces import (_by_columns, as_vector, check_dimension, check_exponent,
                      duality_map_rows, norm_rows)
 
 
@@ -143,12 +143,26 @@ def retraction_support(cset, p) -> RetractionSupport:
 
 
 def members_mask(cset, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Boolean membership mask for the rows of a 2-d array."""
+    """Boolean membership mask for the rows of a 2-d array.
+
+    A box compares every entry with its bounds and ands each row; on a
+    block with more rows than columns (spaces._by_columns) it does both
+    in F order, a column at a time, which numpy does faster than a short
+    row at a time. Comparisons and `and` are exact, so the mask is the
+    same in any layout. Balls and halfspaces sum each row as their
+    retractions do, so that membership and retraction agree on their
+    boundaries."""
     xs = np.asarray(xs, dtype=float)
     if isinstance(cset, WholeSpace):
         return np.ones(xs.shape[0], dtype=bool)
     if isinstance(cset, Box):
-        return np.all(xs >= cset.lo - tol, axis=1) & np.all(xs <= cset.hi + tol, axis=1)
+        # Kept, though two np.all calls in C order read `oracle` 563 -> 527
+        # ops/s and `verify` 57.8 -> 57.8, inside the runs' spread: in
+        # process it is 4-8x faster on the oracle's tall grids (2-core Xeon)
+        order = "F" if _by_columns(xs) else "C"
+        inside = np.greater_equal(xs, cset.lo - tol, order=order)
+        inside &= np.less_equal(xs, cset.hi + tol, order=order)
+        return np.logical_and.reduce(inside, axis=1)
     if isinstance(cset, Ball):
         return np.sqrt(_sq_norms(xs)) <= cset.radius + tol
     if isinstance(cset, Halfspace):

@@ -95,9 +95,32 @@ def dual_exponent(p) -> float:
 # in the same order in either layout, and from 8 up its pairwise sum takes
 # another order in F order, so wider rows stay in C order and every input
 # layout gets C's bits. Kept: C order at every width cut the benchmark's
-# `verify` ops/s 54.2 -> 40.4 and `oracle` 544 -> 487.
+# `verify` ops/s 54.2 -> 40.4 and `oracle` 544 -> 487. The p-th-power sums
+# keep this rule at every height. Only operations that are exact in any
+# order, the row max and the box membership test in `sets`, read every
+# block with more rows than columns a column at a time (_by_columns),
+# whatever its width.
 def _order(a: np.ndarray) -> str:
     return "F" if a.shape[1] < 8 else "C"
+
+
+def _by_columns(a: np.ndarray) -> bool:
+    """Whether a 2-d block has more rows than columns: the shape numpy
+    reads faster a column at a time (F order) than a short row at a time.
+    A wide block, such as the Picard loop's norm blocks at n = 100 and
+    1000, is read row by row, where C order is faster."""
+    return a.shape[0] > a.shape[1]
+
+
+def _row_max(mags: np.ndarray) -> np.ndarray:
+    """np.maximum.reduce(mags, axis=1) for a block of moduli, with its
+    bits: max is exact in any order, so a block read by columns is
+    reduced from an F-order copy."""
+    # Kept: the C reduce at every shape cut the benchmark's `verify` ops/s
+    # 57.8 -> 54.6, in 10 of 10 pairs (2-core Xeon VM)
+    if _by_columns(mags):
+        mags = np.asfortranarray(mags)
+    return np.maximum.reduce(mags, axis=1)
 
 
 def _c_order(a: np.ndarray) -> np.ndarray:
@@ -142,7 +165,7 @@ def _power_sums(mags: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
 
 def _moduli_norms(mags: np.ndarray, p: float) -> np.ndarray:
     """norm_rows of the rows whose moduli are `mags`, which it overwrites."""
-    m = np.maximum.reduce(mags, axis=1)
+    m = _row_max(mags)
     s = _power_sums(mags, m, p)
     s **= 1.0 / p
     s *= m  # m is 1 on zero rows, whose sums are 0
@@ -199,7 +222,7 @@ def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
         # does. Kept: the formula here ran `oracle` at 272 ops/s, not 510
         js = np.add(xs, 0.0, order="C")
         return js, (_moduli_norms(mags, p) if with_norms else None)
-    m = np.maximum.reduce(mags, axis=1)
+    m = _row_max(mags)
     zero = m == 0.0
     # J is homogeneous of degree 1, so each row is rescaled by an exact
     # power of two first; |x_i|^(p-1) and |x|^(2-p) can over/underflow

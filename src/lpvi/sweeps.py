@@ -53,9 +53,13 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
     checks pairing identity, norm identity, positive homogeneity, the
     Hoelder upper bound against random unit functionals, and that
     J x / |x| attains it. At p = 2 additionally checks J == identity.
+    The first vector is pinned at the origin, where the Hoelder and
+    attainment checks have nothing to sample, so `count` must be >= 2.
     """
-    if count < 1:
-        raise InvalidInputError(f"count must be >= 1, got {count}")
+    if count < 2:
+        raise InvalidInputError(
+            f"need count >= 2 (one vector is pinned at the origin),"
+            f" got count = {count}")
     rng = np.random.default_rng(seed)
     report = DualityReport(0.0, 0.0, 0.0, 0.0, -np.inf, None)
     for p in p_values:

@@ -784,6 +784,16 @@ def test_verify_pairing_needs_two_pairs(capsys):
     assert code == 0 and len(out.splitlines()) == 9
 
 
+def test_verify_duality_needs_a_vector_past_the_pinned_origin(capsys):
+    code, out, err = run(capsys, "verify", "duality", "--count", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: need count >= 2 (one vector is pinned at the"
+                   " origin), got count = 1\n")
+    code, out, _ = run(capsys, "verify", "duality", "--count", "2")
+    assert code == 0 and len(out.splitlines()) == 6
+    assert "-inf" not in out
+
+
 def test_parser_is_built_once_and_reused():
     assert _build_parser() is _build_parser()
 

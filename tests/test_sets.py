@@ -340,6 +340,35 @@ def test_box_clamp_has_np_clip_bits_at_signed_zeros_and_nan(n, rows, order):
     assert np.array_equal(_bits(out), _bits(want))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 20])
+@pytest.mark.parametrize("rows", [1, 3, 32, 1030])
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 0.5])
+def test_box_mask_is_the_same_in_every_layout(n, rows, tol):
+    # tall blocks compare and and their rows a column at a time; the mask
+    # must be the scalar comparisons' in every layout, at NaN, +-inf, +-0
+    # and the slackened bounds themselves
+    lo = np.resize([0.0, -0.0, -1.0, -2.5], n)
+    hi = np.resize([1.0, 0.0, -0.0, 2.5], n)
+    box = Box(lo, hi)
+    edges = np.concatenate([lo - tol, hi + tol,
+                            np.nextafter(lo - tol, -np.inf),
+                            np.nextafter(hi + tol, np.inf)])
+    values = np.concatenate([[0.0, -0.0, 0.5, np.inf, -np.inf, np.nan], edges])
+    rng = np.random.default_rng([n, rows, int(tol * 1e12)])
+    # mostly inside, so that tall blocks keep members
+    xs = rng.uniform(lo, hi, (rows, n))
+    pick = rng.random((rows, n)) < 1.0 / n
+    xs[pick] = rng.choice(values, int(pick.sum()))
+    want = [all(lo[j] - tol <= x[j] <= hi[j] + tol for j in range(n))
+            for x in xs.tolist()]
+    assert rows < 32 or 0 < sum(want) < rows
+    wide = np.repeat(xs, 2, axis=1)
+    for a in (xs, np.asfortranarray(xs), wide[:, ::2],
+              np.asfortranarray(wide)[:, 1::2]):
+        got = members_mask(box, a, tol)
+        assert got.dtype == bool and got.tolist() == want
+
+
 @pytest.mark.parametrize("cset", [WholeSpace(2), Box([-0.0, 0.0], [1.0, 1.0]),
                                   Ball(2, 1.0), Halfspace([-1.0, 2.0], 1.0)])
 def test_retract_rows_into_out_matches_a_fresh_result(cset):

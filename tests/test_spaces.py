@@ -172,6 +172,49 @@ def test_every_layout_gets_the_bits_of_c_order(n, p):
                          pairing_rows(xs, ys))
 
 
+def layouts(xs):
+    """xs in C order, F order and as two strided views."""
+    wide = np.repeat(xs, 2, axis=1)
+    return (xs, np.asfortranarray(xs), wide[:, ::2],
+            np.asfortranarray(wide)[:, 1::2])
+
+
+def max_rows(rng, rows, n):
+    """Moduli of awkward_rows, with a NaN in the last row and an inf in
+    the one before: zero, huge, tiny and subnormal rows come first."""
+    mags = np.abs(awkward_rows(rng, rows, n))
+    mags[rows - 2, n - 1] = np.inf
+    mags[rows - 1, n // 2] = np.nan
+    return mags
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 20, 50, 300])
+@pytest.mark.parametrize("rows", [1, 3, 32, 1030])
+def test_row_max_has_the_bits_of_the_c_reduce(rows, n):
+    # tall blocks are read a column at a time; max is exact in any order,
+    # so every layout gets the C reduce's bits, NaN rows staying NaN
+    mags = max_rows(np.random.default_rng([rows, n, 25]), rows, n)
+    want = np.maximum.reduce(np.ascontiguousarray(mags), axis=1)
+    assert np.isnan(want[-1]) and (rows < 3 or want[-2] == np.inf)
+    for a in layouts(mags):
+        assert same_bits(spaces._row_max(a), want)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("n", [8, 20, 50, 300])
+def test_tall_blocks_keep_the_c_order_sums(n, p):
+    # only the row max reads tall blocks a column at a time; the p-th
+    # power sums of 8 or more entries keep C's pairwise order
+    rng = np.random.default_rng([n, int(p * 10), 25])
+    xs = awkward_rows(rng, max(1030, n + 1), n)
+    want_norms, want_js = axis_norm_rows(xs, p), axis_duality_map_rows(xs, p)
+    for a in layouts(xs):
+        assert same_bits(norm_rows(a, p), want_norms)
+        js, norms = duality_norm_rows(a, p)
+        assert same_bits(js, want_js) and same_bits(norms, want_norms)
+        assert js.flags.c_contiguous
+
+
 @pytest.mark.parametrize("row, expected", [
     ([1e300, 1e-300], [1e300, 0.0]),          # underflows when rescaled
     ([-0.0, 1.0], [0.0, 1.0]),                # -0.0 comes back as +0.0

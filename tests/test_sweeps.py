@@ -35,6 +35,18 @@ def test_duality_sweep_validates_count():
         duality_sweep((2.0,), (2,), 0, seed=0)
 
 
+def test_duality_sweep_needs_a_vector_past_the_pinned_origin():
+    # with the origin alone, the Hoelder and attainment checks sample
+    # nothing and would report -inf and 0.0 as passes
+    with pytest.raises(InvalidInputError, match=(
+            r"^need count >= 2 \(one vector is pinned at the origin\),"
+            r" got count = 1$")):
+        duality_sweep((1.5, 2.0), (2, 10), 1, seed=0)
+    rep = duality_sweep((1.5, 2.0), (2, 10), 2, seed=0)
+    assert -1.0 < rep.worst_bound_excess <= TOL
+    assert 0.0 <= rep.worst_attainment <= TOL
+
+
 def test_retraction_suite_clean():
     rep = retraction_suite(pairs=2000, characterization_samples=200, seed=3)
     assert rep.max_box_sunny_dev == 0.0
