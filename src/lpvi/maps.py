@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import EstimationError, EvaluationError, InvalidInputError, ShapeError
 from .sets import bounding_box, sample_budget, sample_in_set
-from .spaces import (as_vector, check_dimension, check_exponent,
+from .spaces import (as_vector, check_dimension, check_exponent, check_integer,
                      duality_norm_rows, norm_rows, pairing_rows)
 
 
@@ -178,6 +178,7 @@ def draw_pairs(mapping, region, p, pairs: int, seed: int,
     Needs 1 <= pairs <= sample_budget() // 2: each pair takes two points."""
     p = check_exponent(p)
     most = sample_budget() // 2
+    pairs = check_integer(pairs, "pairs")
     if not 1 <= pairs <= most:
         raise InvalidInputError(f"pairs must be between 1 and {most}, got {pairs}")
     if bounds is None and bounding_box(region) is None:

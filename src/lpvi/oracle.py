@@ -19,10 +19,10 @@ points in C, which include every vertex of the hull of C's grid points
 over all rivals, a block at a time: the block's candidate x rival
 differences are written one axis at a time into one buffer that every
 block reuses, then one duality-map call over them and one batched matrix
-product give the same bits as one scan per candidate. At p = 2 that call
-is one add, as grid differences span far less than the 2^1022 that the
-kernel's once-a-block test allows. The product's bits depend on the
-layout of J (an F-order copy changes them), so J stays in C order.
+product give the same bits as one scan per candidate: the kernel maps
+each row on its own and returns J C-contiguous, the layout the product's
+bits depend on. At p = 2 that call is one add, as grid differences span
+far less than the 2^1022 that the kernel's once-a-block test allows.
 MAX_SCREEN_PAIRS bounds the pairs of grid points the screen could form,
 MAX_SCAN_ROWS the duality-map rows the full scans form. On a 2-core
 Intel Xeon VM (numpy 2.4, OpenBLAS on one thread) a grid at the screen
@@ -42,7 +42,7 @@ from .errors import InvalidInputError, ResourceError, ShapeError, UnsupportedOra
 from .maps import evaluate_rows
 from .sets import bounding_box, members_mask
 from .solver import Problem
-from .spaces import (as_vector, check_dimension, check_exponent,
+from .spaces import (as_vector, check_dimension, check_exponent, check_integer,
                      duality_map_rows, duality_norm_rows, norm_rows,
                      pairing_rows, row_blocks)
 
@@ -50,10 +50,8 @@ MAX_GRID_DIM = 3
 MAX_SCREEN_PAIRS = 20_000_000_000
 MAX_SCAN_ROWS = 100_000_000
 # the screen's (rows, extreme points) product holds about this many
-# elements per block, but never fewer than _SCREEN_MIN_ROWS rows: below
-# that, per-block overhead dominates the time per pair
+# elements per block, but at least one row
 _SCREEN_BLOCK_ELEMS = 1 << 16
-_SCREEN_MIN_ROWS = 16
 # each full-scan block's (candidates, m, n) rival array holds about this
 # many elements, but at least one candidate. Kept: one candidate per block
 # cuts the benchmark's `oracle` ops/s 483 -> 270, and 2^15 and 2^16 read
@@ -129,7 +127,7 @@ def _screen(inside: np.ndarray, rivals: np.ndarray, images: np.ndarray,
     rejected only when it misses its floor by more than that rounding gap.
     """
     m = inside.shape[0]
-    rows = max(_SCREEN_MIN_ROWS, _SCREEN_BLOCK_ELEMS // max(rivals.shape[0], 1))
+    rows = max(1, _SCREEN_BLOCK_ELEMS // max(rivals.shape[0], 1))
     keep = np.ones(m, dtype=bool)
     for start in range(0, m, rows):
         block = slice(start, start + rows)
@@ -255,6 +253,7 @@ def pairing_sweeps(p_values, n: int, pairs: int, seed: int) -> list[PairingSweep
     figure has the bits of one pass over all the pairs.
     """
     p_values = [check_exponent(p) for p in p_values]
+    n, pairs = check_integer(n, "n"), check_integer(pairs, "pairs")
     if n < 1 or pairs < 2:
         raise InvalidInputError(
             f"need n >= 1 and pairs >= 2 (one pair is pinned at x = 0),"

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRetractionError
-from .spaces import (_by_columns, as_vector, check_dimension, check_exponent,
+from .spaces import (as_vector, check_dimension, check_exponent, check_integer,
                      duality_map_rows, norm_rows)
 
 
@@ -143,25 +143,15 @@ def retraction_support(cset, p) -> RetractionSupport:
 
 
 def members_mask(cset, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Boolean membership mask for the rows of a 2-d array.
-
-    A box compares every entry with its bounds and ands each row; on a
-    block with more rows than columns (spaces._by_columns) it does both
-    in F order, a column at a time, which numpy does faster than a short
-    row at a time. Comparisons and `and` are exact, so the mask is the
-    same in any layout. Balls and halfspaces sum each row as their
-    retractions do, so that membership and retraction agree on their
-    boundaries."""
+    """Boolean membership mask for the rows of a 2-d array. Balls and
+    halfspaces sum each row as their retractions do, so that membership
+    and retraction agree on their boundaries."""
     xs = np.asarray(xs, dtype=float)
     if isinstance(cset, WholeSpace):
         return np.ones(xs.shape[0], dtype=bool)
     if isinstance(cset, Box):
-        # Kept, though two np.all calls in C order read `oracle` 563 -> 527
-        # ops/s and `verify` 57.8 -> 57.8, inside the runs' spread: in
-        # process it is 4-8x faster on the oracle's tall grids (2-core Xeon)
-        order = "F" if _by_columns(xs) else "C"
-        inside = np.greater_equal(xs, cset.lo - tol, order=order)
-        inside &= np.less_equal(xs, cset.hi + tol, order=order)
+        inside = xs >= cset.lo - tol
+        inside &= xs <= cset.hi + tol
         return np.logical_and.reduce(inside, axis=1)
     if isinstance(cset, Ball):
         return np.sqrt(_sq_norms(xs)) <= cset.radius + tol
@@ -173,7 +163,7 @@ def members_mask(cset, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
 def contains(cset, x, tol: float = 0.0) -> bool:
     """Membership test, slackened by tol (coordinatewise for boxes, in the
     Euclidean norm for balls, in the pairing for halfspaces)."""
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise InvalidInputError(f"tol must be nonnegative, got {tol}")
     x = as_vector(x, dim=cset.dim)
     return bool(members_mask(cset, x[None, :], tol)[0])
@@ -278,6 +268,7 @@ def sample_in_set(cset, count: int, seed: int, bounds=None) -> np.ndarray:
     _MAX_CHUNKS chunks, or one the region cannot fill in it, is refused.
     """
     budget = sample_budget()
+    count = check_integer(count, "count")
     if not 0 <= count <= budget:
         raise InvalidInputError(f"count must be between 0 and {budget}, got {count}")
     if bounds is None:
@@ -330,6 +321,7 @@ def verify_characterization(cset, x, p, sample_count: int, seed: int) -> float:
     are seeded; for boxes of dimension <= 10 all vertices are appended
     since extreme points are where violations would show.
     """
+    sample_count = check_integer(sample_count, "sample_count")
     if sample_count < 1:
         raise InvalidInputError(f"sample_count must be >= 1, got {sample_count}")
     p = check_exponent(p)

@@ -231,12 +231,12 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     K = _block_size(n), into one buffer, then norms every step
     |x_j - x_{j+1}| and size |x_j| of the block in one norm_rows call and
     settles the stop tests and trace rows in order. norm_rows reduces
-    rows apart (in the one-row order at every width, on F-order moduli
-    below n = 8), so every number, the trace and the final point have
-    the bits of a loop that norms each iterate alone. An advance writes
-    Bx, then x - lam * Bx, into the block's preallocated (K, n) rows
-    through the kernels' and ufuncs' out= arguments, and retracts
-    straight into the next buffer row; a box clamp has np.clip's bits.
+    each row apart, in a one-row call's order, so every number, the
+    trace and the final point have the bits of a loop that norms each
+    iterate alone. An advance writes Bx, then x - lam * Bx, into the
+    block's preallocated (K, n) rows through the kernels' and ufuncs'
+    out= arguments, and retracts straight into the next buffer row; a
+    box clamp has np.clip's bits.
 
     Divergence is tested on the images x - lam * Bx, which a non-finite
     Bx always makes non-finite; Bx only names the failure. An affine

@@ -61,14 +61,20 @@ def as_vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
     return arr
 
 
-def check_dimension(n, name: str = "dimension") -> int:
-    """Validate a dimension or other count, returning it as an int. Needs
-    an integer (numpy's too, not bool) n >= 1."""
+def check_integer(n, name: str) -> int:
+    """Validate an integer (numpy's too, not bool), returning it as an int."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise InvalidInputError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
+def check_dimension(n, name: str = "dimension") -> int:
+    """Validate a dimension or other count, returning it as an int. Needs
+    an integer (check_integer) n >= 1."""
+    n = check_integer(n, name)
     if n < 1:
         raise InvalidInputError(f"{name} must be positive, got {n}")
-    return int(n)
+    return n
 
 
 @dataclass(frozen=True)
@@ -89,36 +95,25 @@ def dual_exponent(p) -> float:
     return p / (p - 1.0)
 
 
-# The moduli and J buffers of rows narrower than 8 entries are worked in F
-# order, where numpy reduces and broadcasts a column at a time, not a short
-# row at a time. The width is not tuned: below 8 entries numpy sums a row
-# in the same order in either layout, and from 8 up its pairwise sum takes
-# another order in F order, so wider rows stay in C order and every input
-# layout gets C's bits. Kept: C order at every width cut the benchmark's
-# `verify` ops/s 54.2 -> 40.4 and `oracle` 544 -> 487. The p-th-power sums
-# keep this rule at every height. Only operations that are exact in any
-# order, the row max and the box membership test in `sets`, read every
-# block with more rows than columns a column at a time (_by_columns),
-# whatever its width.
+# This module alone decides how a block of rows is laid out. The moduli and
+# J buffers of rows narrower than 8 entries are worked in F order, where
+# numpy reduces and broadcasts a column at a time, not a short row at a
+# time. The width is not tuned: below 8 entries numpy sums a row in the same
+# order in either layout, and from 8 up its pairwise sum takes another order
+# in F order, so wider rows stay in C order and every input layout gets C's
+# bits. Kept: C order at every width cut the benchmark's `verify` ops/s
+# 54.2 -> 40.4 and `oracle` 544 -> 487. The row max alone, exact in any
+# order, reads a block with more rows than columns from an F-order copy at
+# every width. Kept: the C reduce there cut `verify` 57.5 -> 54.6, in 8 of
+# 10 pairs. J comes back C-contiguous.
 def _order(a: np.ndarray) -> str:
     return "F" if a.shape[1] < 8 else "C"
 
 
-def _by_columns(a: np.ndarray) -> bool:
-    """Whether a 2-d block has more rows than columns: the shape numpy
-    reads faster a column at a time (F order) than a short row at a time.
-    A wide block, such as the Picard loop's norm blocks at n = 100 and
-    1000, is read row by row, where C order is faster."""
-    return a.shape[0] > a.shape[1]
-
-
 def _row_max(mags: np.ndarray) -> np.ndarray:
     """np.maximum.reduce(mags, axis=1) for a block of moduli, with its
-    bits: max is exact in any order, so a block read by columns is
-    reduced from an F-order copy."""
-    # Kept: the C reduce at every shape cut the benchmark's `verify` ops/s
-    # 57.8 -> 54.6, in 10 of 10 pairs (2-core Xeon VM)
-    if _by_columns(mags):
+    bits, from an F-order copy on a tall block (see _order)."""
+    if mags.shape[0] > mags.shape[1]:
         mags = np.asfortranarray(mags)
     return np.maximum.reduce(mags, axis=1)
 
@@ -268,8 +263,9 @@ def _duality_rows(xs: np.ndarray, p: float, with_norms: bool):
 
 
 def duality_map_rows(xs: np.ndarray, p: float) -> np.ndarray:
-    """Normalized duality map applied to each row of a 2-d array. A row
-    that is not finite maps to a row that is not finite."""
+    """Normalized duality map applied to each row of a 2-d array, as a
+    C-contiguous array. A row that is not finite maps to a row that is not
+    finite."""
     return _duality_rows(xs, p, False)[0]
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .sets import (Ball, Box, Halfspace, retract, retract_rows, sample_in_set,
                    verify_characterization, verify_sunny)
-from .spaces import (dual_exponent, duality_map_rows, duality_norm_rows,
-                     norm_rows, pairing_rows, row_blocks)
+from .spaces import (check_integer, dual_exponent, duality_map_rows,
+                     duality_norm_rows, norm_rows, pairing_rows, row_blocks)
 
 
 def _worst(pick, worst: float, value) -> float:
@@ -56,6 +56,7 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
     The first vector is pinned at the origin, where the Hoelder and
     attainment checks have nothing to sample, so `count` must be >= 2.
     """
+    count = check_integer(count, "count")
     if count < 2:
         raise InvalidInputError(
             f"need count >= 2 (one vector is pinned at the origin),"
@@ -139,6 +140,7 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
     2^15 entries at a time (spaces.row_blocks), folded into the report
     with NaN kept. Every kernel in them is row-local and max and min are
     exact, so each figure has the bits of one pass over all the pairs."""
+    pairs = check_integer(pairs, "pairs")
     if pairs < 1:
         raise InvalidInputError(f"pairs must be >= 1, got {pairs}")
     rng = np.random.default_rng(seed)

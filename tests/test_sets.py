@@ -3,13 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from lpvi import (Ball, Box, Halfspace, InvalidInputError, RetractionMode,
-                  ShapeError, UnsupportedRetractionError, WholeSpace,
-                  bounding_box, contains, retract, retraction_support,
-                  sample_in_set, verify_characterization, verify_sunny)
+from lpvi import (Affine, Ball, Box, Halfspace, InvalidInputError,
+                  RetractionMode, ShapeError, UnsupportedRetractionError,
+                  WholeSpace, bounding_box, contains, draw_pairs,
+                  pairing_sweeps, retract, retraction_support, sample_in_set,
+                  verify_characterization, verify_sunny)
 from lpvi import sets
 from lpvi.sets import members_mask, retract_rows, retraction_kernel
 from lpvi.spaces import norm_rows
+from lpvi.sweeps import duality_sweep, retraction_suite
 
 
 UNIT_BOX = Box([0.0, 0.0], [2.0, 2.0])
@@ -24,6 +26,28 @@ def test_set_dimension_must_be_an_integer(make, dim):
                        match=re.escape(f"dimension must be an integer, got {dim!r}")):
         make(dim)
     assert make(np.int64(3)).dim == 3 and type(make(np.int64(3)).dim) is int
+
+
+# each library call that takes a count, with that count as `k`
+COUNTED_CALLS = {
+    "sample_in_set": lambda k: sample_in_set(UNIT_BOX, k, seed=0),
+    "draw_pairs": lambda k: draw_pairs(Affine(np.eye(2)), UNIT_BOX, 2, k, seed=0),
+    "verify_characterization": lambda k: verify_characterization(
+        UNIT_BOX, [3.0, 1.0], 2, k, seed=0),
+    "duality_sweep": lambda k: duality_sweep((2.0,), (2,), k, seed=0),
+    "retraction_suite": lambda k: retraction_suite((2.0,), pairs=k),
+    "pairing_sweeps-n": lambda k: pairing_sweeps((2.0,), k, 3, seed=0),
+    "pairing_sweeps-pairs": lambda k: pairing_sweeps((2.0,), 2, k, seed=0),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, True, "3"])
+@pytest.mark.parametrize("call", COUNTED_CALLS.values(), ids=COUNTED_CALLS)
+def test_counts_must_be_integers(call, count):
+    # not truncated, not taken as 1, and no raw TypeError from numpy
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"must be an integer, got {count!r}")):
+        call(count)
 
 
 def test_contains_box():
@@ -45,6 +69,12 @@ def test_contains_ball_and_halfspace():
 def test_contains_rejects_negative_tol():
     with pytest.raises(InvalidInputError):
         contains(UNIT_BOX, [1.0, 1.0], tol=-1e-3)
+
+
+def test_contains_rejects_a_nan_tol():
+    # NaN fails every comparison, so it must not pass as a nonnegative tol
+    with pytest.raises(InvalidInputError, match="tol must be nonnegative, got nan"):
+        contains(UNIT_BOX, [1.0, 1.0], tol=float("nan"))
 
 
 def test_retract_box_clamp_exact():
@@ -344,9 +374,9 @@ def test_box_clamp_has_np_clip_bits_at_signed_zeros_and_nan(n, rows, order):
 @pytest.mark.parametrize("rows", [1, 3, 32, 1030])
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.5])
 def test_box_mask_is_the_same_in_every_layout(n, rows, tol):
-    # tall blocks compare and and their rows a column at a time; the mask
-    # must be the scalar comparisons' in every layout, at NaN, +-inf, +-0
-    # and the slackened bounds themselves
+    # comparisons and `and` are exact, so the mask must be the scalar
+    # comparisons' in every layout, tall blocks and strided views included,
+    # at NaN, +-inf, +-0 and the slackened bounds themselves
     lo = np.resize([0.0, -0.0, -1.0, -2.5], n)
     hi = np.resize([1.0, 0.0, -0.0, 2.5], n)
     box = Box(lo, hi)

@@ -191,8 +191,9 @@ def max_rows(rng, rows, n):
 @pytest.mark.parametrize("n", [1, 7, 8, 20, 50, 300])
 @pytest.mark.parametrize("rows", [1, 3, 32, 1030])
 def test_row_max_has_the_bits_of_the_c_reduce(rows, n):
-    # tall blocks are read a column at a time; max is exact in any order,
-    # so every layout gets the C reduce's bits, NaN rows staying NaN
+    # a block with more rows than columns is reduced from an F-order copy;
+    # max is exact in any order, so every layout gets the C reduce's bits,
+    # NaN rows staying NaN
     mags = max_rows(np.random.default_rng([rows, n, 25]), rows, n)
     want = np.maximum.reduce(np.ascontiguousarray(mags), axis=1)
     assert np.isnan(want[-1]) and (rows < 3 or want[-2] == np.inf)
