@@ -41,6 +41,7 @@ from .oracle import GridSpec, grid_bounds, grid_vi_solve, pairing_sweeps
 from .sets import bounding_box
 from .solver import (SolveStatus, check_stopping_rule, hilbert_rule_factor,
                      picard_solve, select_lambda, solve)
+from .spaces import check_seed
 from .sweeps import RETRACTION_DIMS, duality_sweep, retraction_suite
 
 _ENV_SEED = "LPVI_SEED"
@@ -48,13 +49,6 @@ _ENV_SEED = "LPVI_SEED"
 
 def _err(message):
     print(f"error: {message}", file=sys.stderr)
-
-
-def _checked_seed(seed: int, source: str) -> int:
-    # numpy's seed sequences refuse negative integers
-    if seed < 0:
-        raise ConfigError(f"{source} must be a nonnegative integer, got {seed}")
-    return seed
 
 
 def _default_seed() -> int:
@@ -65,15 +59,15 @@ def _default_seed() -> int:
         seed = int(raw)
     except ValueError:
         raise ConfigError(f"{_ENV_SEED} must be an integer, got {raw!r}")
-    return _checked_seed(seed, _ENV_SEED)
+    return check_seed(seed, _ENV_SEED)
 
 
 def _seed_of(args, configured: int | None = None) -> int:
     """--seed, then the config's [check] seed, then LPVI_SEED, then 0."""
     if args.seed is not None:
-        return _checked_seed(args.seed, "--seed")
+        return check_seed(args.seed, "--seed")
     if configured is not None:
-        return _checked_seed(configured, "[check] seed")
+        return check_seed(configured, "[check] seed")
     return _default_seed()
 
 

@@ -29,15 +29,13 @@ readability). Example:
 
 Every number is read as Python's `float` reads it: the same syntax
 (underscores, non-ASCII digits, `inf`/`nan` spellings) and the same bits.
-A large value, such as a dense matrix written one row per line, goes
-through numpy's C text reader (`np.loadtxt`), which converts each field
-with CPython's own string-to-double routine and so gives those bits
-without a Python object per number. Whatever that reader refuses
+A value of 16 lines or more, such as a dense matrix written one row per
+line, goes through numpy's C text reader (`np.loadtxt`), which converts
+each field with CPython's own string-to-double routine and so gives those
+bits without a Python object per number. Whatever that reader refuses
 (ragged lines, underscores, non-ASCII digits, a carriage return, a bad
 token) is read again token by token, so the result or the refusal is the
-same as for a small value. Small values, values of few lines and values
-with a line longer than a sixteenth of the whole stay on the token path,
-where the C reader would cost more time or memory than it saves.
+same as for a shorter value.
 
 Unknown sections or keys are rejected so typos fail loudly. Unsupported
 space or retraction combinations propagate as their own error types
@@ -109,40 +107,26 @@ def _fail(section: str, key: str, detail: str):
     raise ConfigError(f"[{section}] {key}: {detail}")
 
 
-# A value goes to numpy's C text reader only when it has at least this
-# many characters and no line longer than this share of it (so at least
-# as many lines). The reader has a fixed cost (a few microseconds and
-# about 9 KB), and on the line it is reading it holds 4 bytes per
-# character and 16 per field, so a one-line value of zeros would hold
-# more than the Python strings it replaces (single-character strings are
-# shared). The gates keep both costs below what they save. Kept: the
-# token path alone cuts the benchmark's `solve` ops/s 42.3 -> 34.1.
-_C_READER_MIN_CHARS = 1 << 14
+# A value goes to numpy's C text reader when it has at least this many
+# lines; below that the reader's fixed cost of a few microseconds is more
+# than it saves. Kept: the token path alone cuts the benchmark's `solve`
+# ops/s 42.3 -> 34.1.
 _C_READER_MIN_LINES = 16
 
 
 def _c_reader_floats(text: str) -> np.ndarray | None:
-    """The numbers of a large value read by numpy's C text reader, one
-    row per line, or None where that reader does not apply or refuses.
+    """The numbers of a value of many lines read by numpy's C text reader,
+    one row per line, or None where that reader does not apply or refuses.
 
     The reader converts each field with PyOS_string_to_double, the routine
     behind Python's float, and refuses what that routine does not take
     whole (underscores, non-ASCII digits, `nan(1)`); it also refuses
     ragged lines and an embedded carriage return. Python's float reads
     some of those and refuses the rest, so the caller reads them again
-    token by token. A value whose first and last lines differ in width is
-    left to the caller at once."""
-    # a blank value would make loadtxt warn that it holds no data
-    if len(text) < _C_READER_MIN_CHARS or text.isspace():
-        return None
+    token by token."""
     lines = text.split("\n")
-    if max(map(len, lines)) * _C_READER_MIN_LINES > len(text):
-        return None
-    # a fixed count per line with a short last line is ragged only at the
-    # end, where the reader would refuse it after doing all the work
-    first = next(line for line in lines if line.strip())
-    last = next(line for line in reversed(lines) if line.strip())
-    if len(first.split()) != len(last.split()):
+    # a blank value would make loadtxt warn that it holds no data
+    if len(lines) < _C_READER_MIN_LINES or text.isspace():
         return None
     try:
         return np.loadtxt(lines, dtype=float, ndmin=1, comments=None).ravel()

@@ -43,8 +43,8 @@ from .maps import evaluate_rows
 from .sets import bounding_box, members_mask
 from .solver import Problem
 from .spaces import (as_vector, check_dimension, check_exponent, check_integer,
-                     duality_map_rows, duality_norm_rows, norm_rows,
-                     pairing_rows, row_blocks)
+                     check_seed, duality_map_rows, duality_norm_rows,
+                     norm_rows, pairing_rows, row_blocks)
 
 MAX_GRID_DIM = 3
 MAX_SCREEN_PAIRS = 20_000_000_000
@@ -258,7 +258,7 @@ def pairing_sweeps(p_values, n: int, pairs: int, seed: int) -> list[PairingSweep
         raise InvalidInputError(
             f"need n >= 1 and pairs >= 2 (one pair is pinned at x = 0),"
             f" got n = {n}, pairs = {pairs}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     xs = rng.uniform(-5.0, 5.0, size=(pairs, n))
     ys = rng.uniform(-5.0, 5.0, size=(pairs, n))
     stretch = 10.0 ** rng.uniform(-2.0, 2.0, size=(pairs, 1))

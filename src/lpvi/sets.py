@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRetractionError
 from .spaces import (as_vector, check_dimension, check_exponent, check_integer,
-                     duality_map_rows, norm_rows)
+                     check_seed, duality_map_rows, norm_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +282,7 @@ def sample_in_set(cset, count: int, seed: int, bounds=None) -> np.ndarray:
         hi = as_vector(bounds[1], dim=cset.dim, name="bounds hi")
         if not np.all(lo <= hi):
             raise InvalidInputError("bounds box is empty")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     kept, have, drawn = [np.empty((0, lo.shape[0]))], 0, 0
     while have < count and drawn < budget:
         cand = rng.uniform(lo, hi, size=(_SAMPLE_CHUNK, lo.shape[0]))

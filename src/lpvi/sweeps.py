@@ -16,7 +16,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .sets import (Ball, Box, Halfspace, retract, retract_rows, sample_in_set,
                    verify_characterization, verify_sunny)
-from .spaces import (check_integer, dual_exponent, duality_map_rows,
+from .spaces import (check_dimension, check_exponent, check_integer,
+                     check_seed, dual_exponent, duality_map_rows,
                      duality_norm_rows, norm_rows, pairing_rows, row_blocks)
 
 
@@ -55,18 +56,21 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
     J x / |x| attains it. At p = 2 additionally checks J == identity.
     The first vector is pinned at the origin, where the Hoelder and
     attainment checks have nothing to sample, so `count` must be >= 2.
+    Every input is checked before the first draw.
     """
+    p_values = [check_exponent(p) for p in p_values]
+    n_values = [check_dimension(n, "n") for n in n_values]
     count = check_integer(count, "count")
     if count < 2:
         raise InvalidInputError(
             f"need count >= 2 (one vector is pinned at the origin),"
             f" got count = {count}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     report = DualityReport(0.0, 0.0, 0.0, 0.0, -np.inf, None)
     for p in p_values:
         q = dual_exponent(p)
         for n in n_values:
-            xs = _sample_vectors(rng, count, int(n))
+            xs = _sample_vectors(rng, count, n)
             js, nx = duality_norm_rows(xs, p)
             nj = norm_rows(js, q)
             pairings = pairing_rows(js, xs)
@@ -143,7 +147,7 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
     pairs = check_integer(pairs, "pairs")
     if pairs < 1:
         raise InvalidInputError(f"pairs must be >= 1, got {pairs}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     rep = RetractionReport(0.0, 0.0, 0.0, 0.0, -np.inf, np.inf, np.inf)
 
     def common_checks(cset, p):

@@ -271,10 +271,10 @@ def test_empty_number_list(tmp_path):
         load_text(tmp_path, GOOD.replace("offset = -1.5 -1.25", "offset ="))
 
 
-# Large values go through numpy's C text reader (config._c_reader_floats);
-# everything below checks that reader against the token path it replaces,
-# np.array(text.split(), dtype=float), which reads each token as Python's
-# float does.
+# Values of 16 lines or more go through numpy's C text reader
+# (config._c_reader_floats); everything below checks that reader against
+# the token path it replaces, np.array(text.split(), dtype=float), which
+# reads each token as Python's float does.
 def reference_floats(text):
     return np.array(text.split(), dtype=float)
 
@@ -295,20 +295,17 @@ def rows_text(rows, sep="\n    "):
 def test_c_reader_gates():
     rng = np.random.default_rng(5)
     dense = rng.standard_normal((40, 40))
-    big = rows_text(dense)
-    assert len(big) >= config._C_READER_MIN_CHARS
-    vals = config._c_reader_floats(big)
-    assert vals is not None
-    assert np.array_equal(vals.view(np.int64),
-                          reference_floats(big).view(np.int64))
-    padded = "\n" + big + "\n  \n"  # blank first and last lines
+    # 16 lines or more go to the C reader, with the token path's bits
+    for text in (rows_text(dense[:16]), rows_text(dense)):
+        vals = config._c_reader_floats(text)
+        assert vals is not None
+        assert np.array_equal(vals.view(np.int64),
+                              reference_floats(text).view(np.int64))
+    padded = "\n" + rows_text(dense) + "\n  \n"  # blank first and last lines
     assert np.array_equal(config._c_reader_floats(padded), vals)
-    # small, one-line, few-line and blank values stay on the token path
-    assert config._c_reader_floats(rows_text(dense[:4])) is None
+    # fewer lines, one long line and blank values stay on the token path
+    assert config._c_reader_floats(rows_text(dense[:15])) is None
     assert config._c_reader_floats(rows_text(dense, sep=" ")) is None
-    assert config._c_reader_floats(rows_text(np.tile(dense, 4)[:8])) is None
-    one_long = rows_text([np.tile(dense[0], 40)]) + "\n1" * 20
-    assert config._c_reader_floats(one_long) is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         blank = "\n".join([" " * 2000] * 20)
@@ -317,23 +314,18 @@ def test_c_reader_gates():
             _floats(blank, "map", "matrix")
 
 
-def test_a_short_last_line_goes_to_the_token_path_unread(monkeypatch):
+def test_a_short_last_line_is_read_by_the_token_path():
     flat = np.random.default_rng(6).standard_normal(40 * 40).tolist()
     text = "\n" + "\n".join(" ".join(map(repr, flat[i:i + 7]))
                            for i in range(0, len(flat), 7)) + "\n"
-    assert len(text) >= config._C_READER_MIN_CHARS
     assert len(flat) % 7  # ragged at the end only
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the C reader ran on a ragged value")
-
-    monkeypatch.setattr(config.np, "loadtxt", unreachable)
+    # the C reader refuses it, and the token path reads every number
     assert config._c_reader_floats(text) is None
     assert np.array_equal(_floats(text, "map", "matrix").view(np.int64),
                           np.array(flat).view(np.int64))
 
 
-FILLER = " ".join(["1.25"] * 260)  # 16 lines of it pass the size gate
+FILLER = " ".join(["1.25"] * 260)  # a wide row, as a dense matrix has
 
 SEPARATORS = [" ", "  ", "\t", "\xa0", "\u2003", "\x0b", "\x0c", " \t ",
               "\r"]
@@ -363,9 +355,9 @@ ODD_TOKENS = NUMBER_TOKENS + BAD_TOKENS
 
 @st.composite
 def number_values(draw):
-    """Number lists of one to 24 lines, padded past the C reader's gates
-    unless `small` is drawn, with odd separators, and at times a blank
-    line, a ragged line or an odd token."""
+    """Number lists of one to 24 lines (16 or more go to the C reader),
+    padded with FILLER unless `small` is drawn, with odd separators, and
+    at times a blank line, a ragged line or an odd token."""
     rows = draw(st.one_of(st.integers(16, 24), st.integers(1, 15)))
     width = draw(st.integers(0, 3))
     cells = draw(st.lists(number_tokens, min_size=rows * width,

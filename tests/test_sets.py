@@ -6,8 +6,9 @@ import pytest
 from lpvi import (Affine, Ball, Box, Halfspace, InvalidInputError,
                   RetractionMode, ShapeError, UnsupportedRetractionError,
                   WholeSpace, bounding_box, contains, draw_pairs,
-                  pairing_sweeps, retract, retraction_support, sample_in_set,
-                  verify_characterization, verify_sunny)
+                  pairing_inequality_sweep, pairing_sweeps, retract,
+                  retraction_support, sample_in_set, verify_characterization,
+                  verify_sunny)
 from lpvi import sets
 from lpvi.sets import members_mask, retract_rows, retraction_kernel
 from lpvi.spaces import norm_rows
@@ -48,6 +49,34 @@ def test_counts_must_be_integers(call, count):
     with pytest.raises(InvalidInputError,
                        match=re.escape(f"must be an integer, got {count!r}")):
         call(count)
+
+
+# each library call that builds a seeded generator, with that seed as `s`
+SEEDED_CALLS = {
+    "sample_in_set": lambda s: sample_in_set(UNIT_BOX, 3, s),
+    "draw_pairs": lambda s: draw_pairs(Affine(np.eye(2)), UNIT_BOX, 2, 3, s),
+    "verify_characterization": lambda s: verify_characterization(
+        UNIT_BOX, [3.0, 1.0], 2, 3, s),
+    "duality_sweep": lambda s: duality_sweep((2.0,), (2,), 3, s),
+    "retraction_suite": lambda s: retraction_suite((2.0,), pairs=3, seed=s),
+    "pairing_sweeps": lambda s: pairing_sweeps((2.0,), 2, 3, s),
+    "pairing_inequality_sweep": lambda s: pairing_inequality_sweep(2.0, 2, 3, s),
+}
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2.5, "seed must be an integer, got 2.5"),
+    ("3", "seed must be an integer, got '3'"),
+    (-1, "seed must be a nonnegative integer, got -1"),
+    (True, "seed must be an integer, got True"),
+    (None, "seed must be an integer, got None"),
+], ids=["2.5", "str", "negative", "True", "None"])
+@pytest.mark.parametrize("call", SEEDED_CALLS.values(), ids=SEEDED_CALLS)
+def test_seeds_must_be_nonnegative_integers(call, seed, message):
+    # no raw TypeError or ValueError from numpy, True is not taken as 1,
+    # and None does not draw from OS entropy
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call(seed)
 
 
 def test_contains_box():

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import re
 
+import numpy as np
 import pytest
 
-from lpvi import InvalidInputError
+from lpvi import InvalidInputError, UnsupportedSpaceError
 from lpvi.sweeps import duality_sweep, retraction_suite
 
 TOL = 1e-9
@@ -45,6 +47,25 @@ def test_duality_sweep_needs_a_vector_past_the_pinned_origin():
     rep = duality_sweep((1.5, 2.0), (2, 10), 2, seed=0)
     assert -1.0 < rep.worst_bound_excess <= TOL
     assert 0.0 <= rep.worst_attainment <= TOL
+
+
+@pytest.mark.parametrize("p_values, n_values, error, message", [
+    ((2.0,), (2.5,), InvalidInputError, "n must be an integer, got 2.5"),
+    ((2.0,), (True,), InvalidInputError, "n must be an integer, got True"),
+    ((2.0,), (0,), InvalidInputError, "n must be positive, got 0"),
+    ((2.0, 0.5), (2,), UnsupportedSpaceError,
+     "exponent must satisfy 1 < p < inf, got 0.5"),
+], ids=["n-2.5", "n-True", "n-0", "p-0.5"])
+def test_duality_sweep_checks_every_p_and_n_before_its_first_draw(
+        monkeypatch, p_values, n_values, error, message):
+    # not truncated, not taken as 1, no raw numpy error, and no sweep run
+    # before a later exponent is refused
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was built before the refusal")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(error, match=re.escape(message)):
+        duality_sweep(p_values, n_values, 3, seed=0)
 
 
 def test_retraction_suite_clean():
