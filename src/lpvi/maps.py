@@ -106,19 +106,20 @@ def evaluate_rows(mapping, xs: np.ndarray) -> np.ndarray:
 
 
 def rows_kernel(mapping) -> Callable[..., np.ndarray]:
-    """The function f(xs, out=None) that writes B of each row of a float
-    array into out (a new array when out is None) and returns it, without
-    checks: its output may be non-finite. The dispatch on the mapping's
-    kind happens here, once, so a loop binds f before it starts.
+    """The function f(xs, out=None) that writes B of each row of a 2-d
+    float array into out (a new array when out is None) and returns it,
+    without checks: its output may be non-finite. The dispatch on the
+    mapping's kind happens here, once, so a loop binds f before it starts.
     Vectorized for affine chains, a row loop for black boxes; a black box
-    that raises or returns the wrong shape is an EvaluationError."""
+    that raises or returns the wrong shape is an EvaluationError. It takes
+    2-d blocks only: the affine offset is bound as a (1, n) row, which a
+    1-d input does not broadcast against."""
     if isinstance(mapping, Affine):
-        matrix_t, offset = mapping.matrix.T, mapping.offset
+        matrix_t, offset = mapping.matrix.T, mapping.offset[None, :]
 
         def affine(xs, out=None):
             out = np.matmul(xs, matrix_t, out=out)
-            out += offset
-            return out
+            return np.add(out, offset, out=out)
         return affine
     if isinstance(mapping, ResidualOfContraction):
         inner = rows_kernel(mapping.inner)

@@ -193,11 +193,18 @@ def retraction_kernel(cset, p) -> Callable[..., np.ndarray]:
     returns it. No validation: callers check retraction_support(cset, p)
     once. The dispatch on the set's kind happens here, once, so a loop
     binds g before it starts. Rows in C come back unchanged. Row inner
-    products use a batched matmul, which sums in np.dot's order."""
+    products use a batched matmul, which sums in np.dot's order. It takes
+    2-d blocks only: for n >= 2 the box bounds are bound as (1, n) rows,
+    and a 1-d input would come back as a (1, n) block."""
     if isinstance(cset, WholeSpace):
         return np.positive  # a copy, -0.0 and NaN included
     if isinstance(cset, Box):
         lo, hi = cset.lo, cset.hi
+        # (1, n) bounds keep the clamp of a (1, n) row on numpy's one-loop
+        # path; at n = 1 that path returns the bound at a +-0 tie where
+        # np.clip keeps the input, so n = 1 keeps the (n,) bounds
+        if cset.dim > 1:
+            lo, hi = lo[None, :], hi[None, :]
 
         def box(xs, out=None):
             # the method np.clip calls, so np.clip's bits, signed zeros

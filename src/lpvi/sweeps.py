@@ -40,6 +40,15 @@ class DualityReport:
     worst_hilbert: float | None  # max |Jx - x| entrywise at p = 2
 
 
+def _nonempty(values, name: str) -> list:
+    """values as a list, refused when empty: a sweep over no sample would
+    report its starting figures, which read as a pass."""
+    values = list(values)
+    if not values:
+        raise InvalidInputError(f"{name} must not be empty")
+    return values
+
+
 def _sample_vectors(rng, count: int, n: int) -> np.ndarray:
     xs = rng.uniform(-10.0, 10.0, size=(count, n))
     xs *= 10.0 ** rng.uniform(-2.0, 2.0, size=(count, 1))
@@ -56,10 +65,11 @@ def duality_sweep(p_values, n_values, count: int, seed: int) -> DualityReport:
     J x / |x| attains it. At p = 2 additionally checks J == identity.
     The first vector is pinned at the origin, where the Hoelder and
     attainment checks have nothing to sample, so `count` must be >= 2.
-    Every input is checked before the first draw.
+    Every input is checked, and an empty list refused, before the first draw.
     """
-    p_values = [check_exponent(p) for p in p_values]
-    n_values = [check_dimension(n, "n") for n in n_values]
+    p_values = [check_exponent(p) for p in _nonempty(p_values, "p_values")]
+    n_values = [check_dimension(n, "n")
+                for n in _nonempty(n_values, "n_values")]
     count = check_integer(count, "count")
     if count < 2:
         raise InvalidInputError(
@@ -137,13 +147,15 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
     """Exercise the retractions on seeded boxes (every p) plus balls and
     halfspaces (p = 2): sunny property, idempotence, identity on C,
     nonexpansiveness on `pairs` point pairs, the characterization
-    pairing, and at p = 2 the projection inequality.
+    pairing, and at p = 2 the projection inequality. An empty p_values
+    is refused, since it would draw no box.
 
     Each set's point pairs are drawn whole, in one seeded stream; the
     nonexpansiveness and projection chains then run one block of about
     2^15 entries at a time (spaces.row_blocks), folded into the report
     with NaN kept. Every kernel in them is row-local and max and min are
     exact, so each figure has the bits of one pass over all the pairs."""
+    p_values = _nonempty(p_values, "p_values")
     pairs = check_integer(pairs, "pairs")
     if pairs < 1:
         raise InvalidInputError(f"pairs must be >= 1, got {pairs}")

@@ -297,3 +297,33 @@ def test_evaluate_rows_unchecked_into_out_has_the_fresh_bits(n):
             assert got.base is buf
             assert got.tobytes() == want.tobytes()
             assert np.isnan(buf[[0, -1]]).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 100])
+def test_affine_and_residual_kernels_have_the_formulas_bits(n):
+    # held to matmul-then-add, not to the kernel itself: on the Picard
+    # loop's one-row views with out= a view, and on blocks in both orders
+    rng = np.random.default_rng(n)
+    matrix, offset = rng.standard_normal((n, n)), rng.standard_normal(n)
+    affine = Affine(matrix, offset)
+    buf = rng.standard_normal((17, n)) * 10.0 ** rng.uniform(-2, 2, (17, 1))
+
+    def affine_formula(xs):
+        return np.matmul(xs, matrix.T) + offset
+
+    for mapping, formula in [
+            (affine, affine_formula),
+            (ResidualOfContraction(affine, 0.5),
+             lambda xs: xs - affine_formula(xs))]:
+        kernel = rows_kernel(mapping)
+        out = np.full((17, n), np.nan)
+        for i in range(16):
+            row = out[i + 1:i + 2]
+            assert kernel(buf[i:i + 1], row) is row
+            assert row.tobytes() == formula(buf[i:i + 1]).tobytes()
+        assert np.isnan(out[0]).all()
+        for rows in (1, 3, 16, 17):
+            for order in "CF":
+                xs = np.asarray(buf[:rows], order=order)
+                want = formula(xs).tobytes()
+                assert kernel(xs).tobytes() == want, (rows, order)

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -376,15 +377,19 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize("n", [1, 2, 6])
+_ZERO_LO = [0.0, -0.0, -1.0, 0.0, -0.0, -0.0]
+_ZERO_HI = [1.0, 0.0, -0.0, 0.0, -0.0, 0.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 17])
 @pytest.mark.parametrize("rows", [1, 3, 17])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_box_clamp_has_np_clip_bits_at_signed_zeros_and_nan(n, rows, order):
     # bounds of +-0.0 against inputs of -+0.0: which zero np.clip returns
     # depends on its loop (numpy's widths and layouts), so compare bits,
     # NaN rows included
-    lo = np.array([0.0, -0.0, -1.0, 0.0, -0.0, -0.0])[:n]
-    hi = np.array([1.0, 0.0, -0.0, 0.0, -0.0, 0.0])[:n]
+    lo = np.resize(_ZERO_LO, n)
+    hi = np.resize(_ZERO_HI, n)
     box = Box(lo, hi)
     rng = np.random.default_rng(10 * n + rows)
     values = np.array([0.0, -0.0, 2.0, -2.0, 0.5, np.inf, -np.inf, np.nan])
@@ -397,6 +402,40 @@ def test_box_clamp_has_np_clip_bits_at_signed_zeros_and_nan(n, rows, order):
     out = np.empty_like(xs)
     assert retraction_kernel(box, 2.0)(xs, out) is out
     assert np.array_equal(_bits(out), _bits(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 17])
+def test_box_clamp_has_np_clip_bits_on_row_views(n):
+    # the Picard loop's call: one row of a (K, n) buffer clamped into a
+    # row of another, each a (1, n) view
+    lo = np.resize(_ZERO_LO, n)
+    hi = np.resize(_ZERO_HI, n)
+    clamp = retraction_kernel(Box(lo, hi), 2.0)
+    rng = np.random.default_rng(n)
+    values = np.array([0.0, -0.0, 2.0, -2.0, 0.5, np.inf, -np.inf, np.nan])
+    images = rng.choice(values, (17, n))
+    rows = np.full((18, n), 7.0)
+    for i in range(17):
+        clamp(images[i:i + 1], rows[i + 1:i + 2])
+        want = np.clip(images[i:i + 1], lo, hi)
+        assert np.array_equal(_bits(rows[i + 1:i + 2]), _bits(want))
+    assert (rows[0] == 7.0).all()
+
+
+def test_box_clamp_has_np_clip_bits_on_seeded_blocks():
+    # every n from 1 to 20 and 1 to 40 rows, both orders, entries and
+    # bounds where np.clip's choice of zero or NaN shows in the bits
+    rng = np.random.default_rng(2006)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, np.inf,
+                       -np.inf, np.nan])
+    bounds = np.array([0.0, -0.0, 1.0, -1.0])
+    for n, rows, order in itertools.product(range(1, 21), range(1, 41), "CF"):
+        for _ in range(6):
+            lo, hi = np.sort(rng.choice(bounds, (2, n)), axis=0)
+            xs = np.asarray(rng.choice(values, (rows, n)), order=order)
+            want = _bits(np.clip(xs, lo, hi))
+            got = _bits(retract_rows(Box(lo, hi), xs, 2.0))
+            assert np.array_equal(got, want), (n, rows, order)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 20])

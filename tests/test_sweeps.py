@@ -68,6 +68,23 @@ def test_duality_sweep_checks_every_p_and_n_before_its_first_draw(
         duality_sweep(p_values, n_values, 3, seed=0)
 
 
+@pytest.mark.parametrize("sweep, message", [
+    (lambda: duality_sweep((), (2,), 3, 0), "p_values must not be empty"),
+    (lambda: duality_sweep((2.0,), (), 3, 0), "n_values must not be empty"),
+    (lambda: retraction_suite((), pairs=50, seed=0),
+     "p_values must not be empty"),
+], ids=["duality-no-p", "duality-no-n", "retraction-no-p"])
+def test_sweeps_over_no_sample_are_refused(monkeypatch, sweep, message):
+    # an empty list would return the report's starting figures (0.0 and
+    # -inf), which a caller reads as a pass
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was built before the refusal")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        sweep()
+
+
 def test_retraction_suite_clean():
     rep = retraction_suite(pairs=2000, characterization_samples=200, seed=3)
     assert rep.max_box_sunny_dev == 0.0
