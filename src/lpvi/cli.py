@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     each parse_args call fills a new namespace, and the repeatable --p
     starts from a None default, so no parse sees an earlier one. It holds
     no command functions; main looks those up on every call. Kept: a
-    build per call moves the benchmark's `solve` op_ms.p50 2.0 -> 2.9 ms."""
+    build per call moves the benchmark's `solve` op_ms.p50 1.60 -> 2.15 ms."""
     parser = argparse.ArgumentParser(
         prog="lpvi",
         description="variational inequalities on lp spaces:"

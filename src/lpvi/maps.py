@@ -43,6 +43,7 @@ class Affine:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"matrix must be square, got shape {m.shape}")
+        check_dimension(m.shape[0])
         if not np.all(np.isfinite(m)):
             raise InvalidInputError("matrix contains non-finite entries")
         q = (np.zeros(m.shape[0]) if self.offset is None
@@ -244,7 +245,7 @@ def check_relaxed_cocoercive(sample: PairSample, u, v) -> SlackReport:
     A clearly negative worst slack falsifies the claim at the witness pair.
     """
     u, v = float(u), float(v)
-    if u <= 0.0 or v <= 0.0:
+    if not (u > 0.0 and v > 0.0):
         raise InvalidInputError("cocoercivity constants u, v must be positive")
     slacks = (sample.pairings
               + u * sample.image_seps ** 2
@@ -255,7 +256,7 @@ def check_relaxed_cocoercive(sample: PairSample, u, v) -> SlackReport:
 def check_strongly_monotone(sample: PairSample, v) -> SlackReport:
     """Probe v-strong monotonicity: <Bx - By, j(x - y)> >= v |x - y|^2."""
     v = float(v)
-    if v <= 0.0:
+    if not v > 0.0:
         raise InvalidInputError("strong monotonicity constant v must be positive")
     slacks = sample.pairings - v * sample.seps ** 2
     return _slack_report(slacks, sample)

@@ -16,12 +16,12 @@ Most grid points fail against a single rival, so every candidate u is
 first screened against the v minimizing <Bu, v> over the grid's extreme
 points in C, which include every vertex of the hull of C's grid points
 (at p = 2 that v is the worst rival). Only survivors get the full scan
-over all rivals, a block at a time: the block's candidate x rival
-differences are written one axis at a time into one buffer that every
-block reuses, then one duality-map call over them and one batched matrix
-product give the same bits as one scan per candidate: the kernel maps
-each row on its own and returns J C-contiguous, the layout the product's
-bits depend on. At p = 2 that call is one add, as grid differences span
+over all rivals. Both run a spaces.row_blocks block of candidates at a
+time. A scan block's candidate x rival differences are written one axis
+at a time into one buffer that every block reuses, then one duality-map
+call over them and one batched matrix product give the same bits as one
+scan per candidate: the kernel maps each row on its own and returns J
+C-contiguous, the layout the product's bits depend on. At p = 2 that call is one add, as grid differences span
 far less than the 2^1022 that the kernel's once-a-block test allows.
 MAX_SCREEN_PAIRS bounds the pairs of grid points the screen could form,
 MAX_SCAN_ROWS the duality-map rows the full scans form. On a 2-core
@@ -49,14 +49,6 @@ from .spaces import (as_vector, check_dimension, check_exponent, check_integer,
 MAX_GRID_DIM = 3
 MAX_SCREEN_PAIRS = 20_000_000_000
 MAX_SCAN_ROWS = 100_000_000
-# the screen's (rows, extreme points) product holds about this many
-# elements per block, but at least one row
-_SCREEN_BLOCK_ELEMS = 1 << 16
-# each full-scan block's (candidates, m, n) rival array holds about this
-# many elements, but at least one candidate. Kept: one candidate per block
-# cuts the benchmark's `oracle` ops/s 483 -> 270, and 2^15 and 2^16 read
-# 471 and 448
-_SCAN_BLOCK_ELEMS = 1 << 14
 # relative rounding gap allowed between the screen's pairing and the full
 # scan's pairing of the same rival (same J row, other reduction order)
 _SCREEN_MARGIN = 1e-12
@@ -120,17 +112,14 @@ def _screen(inside: np.ndarray, rivals: np.ndarray, images: np.ndarray,
     """Mask of the candidates that survive one pairing against their rival.
 
     Candidate i is paired with J(v - inside[i]) for the v in `rivals`
-    minimizing <images[i], v>, in row blocks of about 2^16 products. Any
+    minimizing <images[i], v>, a spaces.row_blocks block at a time. Any
     v in C is a sound rival: its pairing is one of the terms the full scan
     minimizes, so a candidate rejected here is rejected there too. The
     full scan sums the same products in another order, so a candidate is
     rejected only when it misses its floor by more than that rounding gap.
     """
-    m = inside.shape[0]
-    rows = max(1, _SCREEN_BLOCK_ELEMS // max(rivals.shape[0], 1))
-    keep = np.ones(m, dtype=bool)
-    for start in range(0, m, rows):
-        block = slice(start, start + rows)
+    keep = np.ones(inside.shape[0], dtype=bool)
+    for block in row_blocks(inside.shape[0], rivals.shape[0]):
         rival = np.argmin(images[block] @ rivals.T, axis=1)
         js = duality_map_rows(rivals[rival] - inside[block], p)
         screened = pairing_rows(js, images[block])
@@ -176,13 +165,17 @@ def grid_vi_solve(problem: Problem, grid: GridSpec,
             f" MAX_SCAN_ROWS = {MAX_SCAN_ROWS}")
     accepted = [np.empty((0, n))]
     worsts = [np.empty(0)]
-    per_block = max(1, _SCAN_BLOCK_ELEMS // max(m * n, 1))
+    # a candidate's block row is its m x n differences and their J, so a
+    # block holds 2^14 // (m n) candidates. Kept: rows of width m n moved
+    # the benchmark's `oracle` op_ms.p50 1.268 -> 1.294 ms, in 7 of 10 pairs
+    blocks = row_blocks(survivors.size, 2 * m * n)
     coords = inside.T.copy()
-    diffs = np.empty((min(per_block, survivors.size), m, n))
-    for start in range(0, survivors.size, per_block):
-        block = survivors[start:start + per_block]
+    diffs = np.empty((survivors[blocks[0]].size if blocks else 0, m, n))
+    for b in blocks:
+        block = survivors[b]
         # the rival - candidate rows, written one axis at a time into the
-        # one buffer (the last short block takes a leading view of it)
+        # one buffer (the last short block takes a leading view of it).
+        # Kept: one broadcast subtract a block cuts `oracle` ops/s 617 -> 509
         rows = diffs[:block.size]
         for axis in range(n):
             np.subtract(coords[axis], coords[axis, block, None],
@@ -246,13 +239,15 @@ def pairing_sweeps(p_values, n: int, pairs: int, seed: int) -> list[PairingSweep
     exactly 0 when J(0) = 0; it is reported on its own, and the minimum
     margin is taken over the other pairs.
 
-    Every input is checked before the draw. The pairs are drawn whole, in
-    one seeded stream, and only read after that; each p's slack chain runs
-    one block of about 2^15 entries at a time (spaces.row_blocks), so its
-    temporaries stay block-sized. Every kernel in it is row-local, so each
-    figure has the bits of one pass over all the pairs.
+    Every input is checked, and an empty p_values refused, before the
+    draw. The pairs are drawn whole, in one seeded stream, and only read
+    after that; each p's slack chain runs one spaces.row_blocks block of
+    about 2^15 entries at a time, so its temporaries stay block-sized.
+    Every kernel in it is row-local, so each figure has its one-pass bits.
     """
     p_values = [check_exponent(p) for p in p_values]
+    if not p_values:
+        raise InvalidInputError("p_values must not be empty")
     n, pairs = check_integer(n, "n"), check_integer(pairs, "pairs")
     if n < 1 or pairs < 2:
         raise InvalidInputError(

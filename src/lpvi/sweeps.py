@@ -147,15 +147,15 @@ def retraction_suite(p_values=(1.5, 2.0, 3.0), pairs: int = 10_000,
     """Exercise the retractions on seeded boxes (every p) plus balls and
     halfspaces (p = 2): sunny property, idempotence, identity on C,
     nonexpansiveness on `pairs` point pairs, the characterization
-    pairing, and at p = 2 the projection inequality. An empty p_values
-    is refused, since it would draw no box.
+    pairing, and at p = 2 the projection inequality. Every p is checked,
+    and an empty p_values (no box) refused, before the first draw.
 
     Each set's point pairs are drawn whole, in one seeded stream; the
     nonexpansiveness and projection chains then run one block of about
     2^15 entries at a time (spaces.row_blocks), folded into the report
     with NaN kept. Every kernel in them is row-local and max and min are
     exact, so each figure has the bits of one pass over all the pairs."""
-    p_values = _nonempty(p_values, "p_values")
+    p_values = [check_exponent(p) for p in _nonempty(p_values, "p_values")]
     pairs = check_integer(pairs, "pairs")
     if pairs < 1:
         raise InvalidInputError(f"pairs must be >= 1, got {pairs}")

@@ -100,6 +100,12 @@ def test_contraction_constant_range():
 def test_affine_must_be_square():
     with pytest.raises(ShapeError):
         Affine(np.zeros((2, 3)))
+    # a 0 x 0 matrix is refused by its size, as WholeSpace(0) and
+    # BlackBox(f, 0) are, with or without an offset
+    for offset in (None, []):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("dimension must be positive, got 0")):
+            Affine(np.zeros((0, 0)), offset)
 
 
 def test_lipschitz_scaled_identity():
@@ -209,10 +215,14 @@ def test_draw_pairs_forms_each_quantity_with_its_kernels_bits(p):
 
 def test_constant_validation():
     sample = draw_pairs(_identity(), BOX, 2, 10, seed=0)
-    with pytest.raises(InvalidInputError):
-        check_relaxed_cocoercive(sample, u=0.0, v=1.0)
-    with pytest.raises(InvalidInputError):
-        check_strongly_monotone(sample, v=-1.0)
+    # NaN fails every comparison, so it is refused, not turned into a NaN
+    # worst slack
+    for u, v in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(InvalidInputError, match="u, v must be positive"):
+            check_relaxed_cocoercive(sample, u=u, v=v)
+    for v in (-1.0, math.nan):
+        with pytest.raises(InvalidInputError, match="v must be positive"):
+            check_strongly_monotone(sample, v=v)
     with pytest.raises(InvalidInputError):
         draw_pairs(_identity(), BOX, 2, 0, seed=0)
 

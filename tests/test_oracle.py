@@ -158,16 +158,23 @@ def test_screened_oracle_matches_when_every_candidate_survives(p):
 SURVIVOR_GRIDS = {1: (40,), 2: (7, 7), 3: (5, 5, 5)}
 
 
+def split(rows, step):
+    """The row counts of spaces.row_blocks' blocks of `step` rows."""
+    whole, rest = divmod(rows, step)
+    return [step] * whole + ([rest] if rest else [])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("block", [None, 1, 3])
 def test_blocked_full_scans_match_the_reference(monkeypatch, n, block):
     # every candidate survives, so the scans see all of them; 40, 49 and
     # 125 candidates are not multiples of 3 (nor 125 of the default 43),
-    # so the last block is a short one
+    # so the last block is a short one. A scan block row is a candidate's
+    # m differences and their J, 2 m n entries
     counts = SURVIVOR_GRIDS[n]
     m = int(np.prod(counts))
     if block is not None:
-        monkeypatch.setattr(oracle, "_SCAN_BLOCK_ELEMS", block * m * n)
+        monkeypatch.setattr(spaces, "_ROW_BLOCK_ELEMS", 2 * block * m * n)
     rows = []
     monkeypatch.setattr(oracle, "duality_map_rows",
                         lambda xs, p: rows.append(len(xs)) or duality_map_rows(xs, p))
@@ -177,10 +184,12 @@ def test_blocked_full_scans_match_the_reference(monkeypatch, n, block):
     assert sol.accepted.shape[0] == sol.searched == m
     assert np.array_equal(sol.accepted, accepted)
     assert np.array_equal(sol.worst_pairings, worsts)
-    # one screen block of m rows, then blocks of `per` candidates x m rivals
-    per = min(m, oracle._SCAN_BLOCK_ELEMS // (m * n))
-    whole, rest = divmod(m, per)
-    assert rows == [m] + [per * m] * whole + ([rest * m] if rest else [])
+    # the screen's blocks against the box's 2^n corners, then blocks of
+    # `per` candidates x m rivals; by default `per` is 2^14 // (m n)
+    per = min(m, block or (1 << 14) // (m * n))
+    screen = split(m, min(m, spaces._ROW_BLOCK_ELEMS // 2 ** n))
+    assert per == min(m, spaces._ROW_BLOCK_ELEMS // (2 * m * n))
+    assert rows == screen + [k * m for k in split(m, per)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -188,7 +197,7 @@ def test_scan_rows_are_the_broadcast_differences(monkeypatch, n):
     # 3 candidates a block: 40, 49 and 125 candidates end on a short block
     counts = SURVIVOR_GRIDS[n]
     m = int(np.prod(counts))
-    monkeypatch.setattr(oracle, "_SCAN_BLOCK_ELEMS", 3 * m * n)
+    monkeypatch.setattr(spaces, "_ROW_BLOCK_ELEMS", 2 * 3 * m * n)
     seen = []
     monkeypatch.setattr(oracle, "duality_map_rows",
                         lambda xs, p: seen.append(xs.copy()) or duality_map_rows(xs, p))
@@ -204,6 +213,39 @@ def test_scan_rows_are_the_broadcast_differences(monkeypatch, n):
         want = (inside[None] - inside[block, None]).reshape(-1, n)
         assert rows.flags.c_contiguous
         assert rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ball, p", [(False, 1.5), (False, 2.0), (False, 3.0),
+                                     (True, 2.0)],
+                         ids=["box-1.5", "box-2.0", "box-3.0", "ball-2.0"])
+@pytest.mark.parametrize("screen_rows", [1, 3])
+def test_screen_in_blocks_matches_the_reference(monkeypatch, ball, p, screen_rows):
+    # a budget of `screen_rows` rows of the grid's extreme points cuts the
+    # screen into blocks of that many candidates (and each scan block into
+    # one candidate); the 13 x 13 grids leave 169 and 113 candidates, which
+    # blocks of 3 do not divide (a ball lives at p = 2 only)
+    counts = (13, 13)
+    prob = random_instance(np.random.default_rng([int(10 * p), 6]), 2, p,
+                           ball=ball)
+    lo, hi = grid_bounds(prob.cset)
+    axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(2)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    member = members_mask(prob.cset, pts, tol=1e-12)
+    extreme = int(np.count_nonzero(oracle._extreme_mask(member.reshape(counts))))
+    monkeypatch.setattr(spaces, "_ROW_BLOCK_ELEMS", screen_rows * extreme)
+    rows = []
+    monkeypatch.setattr(oracle, "duality_map_rows",
+                        lambda xs, p: rows.append(len(xs)) or duality_map_rows(xs, p))
+    sol = grid_vi_solve(prob, GridSpec(counts))
+    accepted, worsts = reference_grid_vi_solve(prob, counts)
+    screen = split(sol.searched, screen_rows)
+    assert sol.searched == int(np.count_nonzero(member)) > screen_rows
+    assert rows[:len(screen)] == screen
+    # the screen rejects most candidates, so most are never scanned
+    assert len(rows) - len(screen) < sol.searched // 2
+    assert 0 < sol.accepted.shape[0] < sol.searched
+    assert np.array_equal(sol.accepted, accepted)
+    assert np.array_equal(sol.worst_pairings, worsts)
 
 
 @pytest.mark.parametrize("counts", [(2,), (9,), (2, 5), (7, 4), (2, 2, 2),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lpvi import InvalidInputError, UnsupportedSpaceError
+from lpvi.oracle import pairing_sweeps
 from lpvi.sweeps import duality_sweep, retraction_suite
 
 TOL = 1e-9
@@ -49,23 +50,29 @@ def test_duality_sweep_needs_a_vector_past_the_pinned_origin():
     assert 0.0 <= rep.worst_attainment <= TOL
 
 
-@pytest.mark.parametrize("p_values, n_values, error, message", [
-    ((2.0,), (2.5,), InvalidInputError, "n must be an integer, got 2.5"),
-    ((2.0,), (True,), InvalidInputError, "n must be an integer, got True"),
-    ((2.0,), (0,), InvalidInputError, "n must be positive, got 0"),
-    ((2.0, 0.5), (2,), UnsupportedSpaceError,
+@pytest.mark.parametrize("sweep, error, message", [
+    (lambda: duality_sweep((2.0,), (2.5,), 3, 0), InvalidInputError,
+     "n must be an integer, got 2.5"),
+    (lambda: duality_sweep((2.0,), (True,), 3, 0), InvalidInputError,
+     "n must be an integer, got True"),
+    (lambda: duality_sweep((2.0,), (0,), 3, 0), InvalidInputError,
+     "n must be positive, got 0"),
+    (lambda: duality_sweep((2.0, 0.5), (2,), 3, 0), UnsupportedSpaceError,
      "exponent must satisfy 1 < p < inf, got 0.5"),
-], ids=["n-2.5", "n-True", "n-0", "p-0.5"])
+    (lambda: retraction_suite((2.0, 0.5), pairs=50, seed=0),
+     UnsupportedSpaceError, "exponent must satisfy 1 < p < inf, got 0.5"),
+], ids=["n-2.5", "n-True", "n-0", "p-0.5", "retraction-p-0.5"])
 def test_duality_sweep_checks_every_p_and_n_before_its_first_draw(
-        monkeypatch, p_values, n_values, error, message):
+        monkeypatch, sweep, error, message):
     # not truncated, not taken as 1, no raw numpy error, and no sweep run
-    # before a later exponent is refused
+    # before a later exponent is refused; retraction_suite checks its
+    # exponents the same way
     def no_draw(*args, **kwargs):
         raise AssertionError("a generator was built before the refusal")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     with pytest.raises(error, match=re.escape(message)):
-        duality_sweep(p_values, n_values, 3, seed=0)
+        sweep()
 
 
 @pytest.mark.parametrize("sweep, message", [
@@ -73,7 +80,8 @@ def test_duality_sweep_checks_every_p_and_n_before_its_first_draw(
     (lambda: duality_sweep((2.0,), (), 3, 0), "n_values must not be empty"),
     (lambda: retraction_suite((), pairs=50, seed=0),
      "p_values must not be empty"),
-], ids=["duality-no-p", "duality-no-n", "retraction-no-p"])
+    (lambda: pairing_sweeps([], 2, 10, 0), "p_values must not be empty"),
+], ids=["duality-no-p", "duality-no-n", "retraction-no-p", "pairing-no-p"])
 def test_sweeps_over_no_sample_are_refused(monkeypatch, sweep, message):
     # an empty list would return the report's starting figures (0.0 and
     # -inf), which a caller reads as a pass
