@@ -81,9 +81,13 @@ def _vec(x) -> list:
 
 def _write_trace(handle, trace):
     handle.write("iter,step_norm,residual\n")
-    # one format call for all the rows: faster than a call per row
-    handle.write(("%d,%.17g,%.17g\n" * len(trace))
-                 % tuple([value for row in trace for value in row]))
+    # a solve's residual is the next row's step object: format each norm once
+    steps = ["%.17g" % row[1] for row in trace]
+    residuals = [text if row[2] is after[1] else "%.17g" % row[2]
+                 for row, after, text in zip(trace, trace[1:], steps[1:])]
+    residuals += ["%.17g" % row[2] for row in trace[-1:]]
+    handle.write("".join([f"{row[0]},{step},{text}\n"
+                          for row, step, text in zip(trace, steps, residuals)]))
 
 
 def cmd_solve(args) -> int:

@@ -245,8 +245,9 @@ def check_relaxed_cocoercive(sample: PairSample, u, v) -> SlackReport:
     A clearly negative worst slack falsifies the claim at the witness pair.
     """
     u, v = float(u), float(v)
-    if not (u > 0.0 and v > 0.0):
-        raise InvalidInputError("cocoercivity constants u, v must be positive")
+    if not (0.0 < u < np.inf and 0.0 < v < np.inf):
+        raise InvalidInputError(
+            "cocoercivity constants u, v must be positive and finite")
     slacks = (sample.pairings
               + u * sample.image_seps ** 2
               - v * sample.seps ** 2)
@@ -256,8 +257,9 @@ def check_relaxed_cocoercive(sample: PairSample, u, v) -> SlackReport:
 def check_strongly_monotone(sample: PairSample, v) -> SlackReport:
     """Probe v-strong monotonicity: <Bx - By, j(x - y)> >= v |x - y|^2."""
     v = float(v)
-    if not v > 0.0:
-        raise InvalidInputError("strong monotonicity constant v must be positive")
+    if not 0.0 < v < np.inf:
+        raise InvalidInputError(
+            "strong monotonicity constant v must be positive and finite")
     slacks = sample.pairings - v * sample.seps ** 2
     return _slack_report(slacks, sample)
 

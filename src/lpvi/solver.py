@@ -206,9 +206,11 @@ def check_stopping_rule(tol: float, max_iter: int) -> None:
 
 
 def _block_size(n: int) -> int:
-    """Most iterates per block of the Picard loop: 16, and fewer above
-    n = 256, where one norm call already spans 4096 entries and each
-    advance past the stop is a costly matvec."""
+    """K, the most iterates per block over a Picard solve's first 8 K
+    iterates: 16, and fewer above n = 256, where one norm call already
+    spans 4096 entries and each advance past the stop is a costly matvec.
+    Later blocks hold up to an eighth of the iterates done, and at most
+    max(K, min(64, 4096 // n))."""
     return max(1, min(16, 4096 // n))
 
 
@@ -228,13 +230,16 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     Arguments are validated once, up front, and the map and retraction
     kernels (maps.rows_kernel, sets.retraction_kernel) are bound once per
     solve. The loop advances blocks of 1, 2, 4, ... iterates, at most
-    K = _block_size(n), into one buffer, then norms every step
-    |x_j - x_{j+1}| and size |x_j| of the block in one norm_rows call and
-    settles the stop tests and trace rows in order. norm_rows reduces
+    K = _block_size(n), over the first 8 K iterates, and after that
+    blocks of at most an eighth of the iterates done and at most
+    C = max(K, min(64, 4096 // n)). It advances a block into one buffer,
+    then norms every step |x_j - x_{j+1}| and size |x_j| of the block in
+    one norm_rows call and settles the stop tests and trace rows in
+    order, as Python floats, before the next block. norm_rows reduces
     each row apart, in a one-row call's order, so every number, the
     trace and the final point have the bits of a loop that norms each
     iterate alone. An advance writes Bx, then x - lam * Bx, into the
-    block's preallocated (K, n) rows through the kernels' and ufuncs'
+    block's preallocated (C, n) rows through the kernels' and ufuncs'
     out= arguments, and retracts straight into the next buffer row; a
     box clamp has np.clip's bits.
 
@@ -247,9 +252,11 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     the failure are settled first: DivergenceError is raised only if none
     of them stops.
 
-    A block may advance past the stop, by fewer iterates than came
-    before it and at most K - 1; they are dropped, though a black-box
-    map sees the calls, which is why blocks double from one iterate.
+    A block may advance past the stop at iteration s: by at most
+    min(s, K - 1) iterates for s < 8 K, and by at most min(s // 8, C) - 1
+    after that, so by fewer than s / 8 + 1 and 64. They are dropped,
+    though a black-box map sees the calls, which is why blocks start
+    from one iterate and grow only with the iterates done.
     """
     lam = _check_step(lam)
     check_stopping_rule(tol, max_iter)
@@ -260,19 +267,20 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
     retract_into = retraction_kernel(problem.cset, p)
     # a 0-d lam, like the kernels' (1, n) offset and bounds, keeps (1, n)
     # rows on numpy's one-loop path. Kept: a float lam and (n,) operands
-    # move `solve` p90 58.4 -> 69.3 ms
+    # move `solve` p90 52.4 -> 60.4 ms (a float lam alone 52.4 -> 52.9)
     lam_0d = np.array(lam)
-    # Kept: checking every map per advance moves `solve` p90 58.7 -> 77.3 ms
+    # Kept: checking every map per advance moves `solve` p90 52.4 -> 67.4 ms
     per_advance = has_black_box(problem.mapping)
     block = _block_size(n)
-    xs = np.empty((block + 1, n))    # x_j, then the block's new iterates
-    pairs = np.empty((2 * block, n))  # the block's steps, then its sizes
-    bxs, images = np.empty((block, n)), np.empty((block, n))  # Bx, x - lam Bx
-    finite = np.empty((block, n), dtype=bool)
-    # Kept: slicing these per advance moves `solve` p90 58.7 -> 65.6 ms
-    rows = [xs[i:i + 1] for i in range(block + 1)]
-    bx_rows = [bxs[i:i + 1] for i in range(block)]
-    image_rows = [images[i:i + 1] for i in range(block)]
+    # past 8 K iterates a block holds an eighth of them, up to this cap
+    cap = max(block, min(64, 4096 // n))
+    xs = np.empty((cap + 1, n))    # x_j, then the block's new iterates
+    pairs = np.empty((2 * cap, n))  # the block's steps, then its sizes
+    bxs, images = np.empty((cap, n)), np.empty((cap, n))  # Bx, x - lam Bx
+    finite = np.empty((cap, n), dtype=bool)
+    # row views, made when a block first needs the row. Kept: slicing these
+    # per advance moves `solve` p90 52.4 -> 54.8 ms
+    rows, bx_rows, image_rows = [xs[:1]], [], []
     trace: list[tuple[int, float, float]] = []
 
     def non_finite(start, stop):
@@ -300,44 +308,47 @@ def picard_solve(problem: Problem, lam: float, x0, tol: float = 1e-10,
             retract_into(image, rows[i + 1])
         return None if per_advance else non_finite(0, count)
 
-    def orbit():
-        """(x_j, |x_j - x_{j+1}|, |x_j|) for j = 0 to max_iter, computed a
-        block at a time; x_j is a view into the buffer."""
-        base, length = 0, 1   # orbit index of xs[0]; iterates to advance
+    # overflow in the loop is divergence, reported by the finiteness tests,
+    # not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs[0] = retract(problem.cset, as_vector(x0, n, name="x0"), p)
+        status = SolveStatus.ITERATION_LIMIT
+        base, length = 0, 1   # iterates done, the index of xs[0]; block rows
         while True:
             count = min(length, max_iter + 1 - base)
+            for j in range(len(bx_rows), count):
+                rows.append(xs[j + 1:j + 2])
+                bx_rows.append(bxs[j:j + 1])
+                image_rows.append(images[j:j + 1])
             failure = advance_block(count)
             if failure is not None:
                 count = failure[0]
             np.subtract(xs[:count], xs[1:count + 1], out=pairs[:count])
             pairs[count:2 * count] = xs[:count]
             norms = norm_rows(pairs[:2 * count], p).tolist()
-            for i in range(count):
-                yield xs[i], norms[i], norms[count + i]
+            # row k - base of the block: x_k, its step |x_k - x_{k+1}| and its
+            # size |x_k|; iteration k tests the row before it
+            for k, residual, size_k in zip(range(base, base + count), norms,
+                                           norms[count:]):
+                if k:
+                    trace.append((k, step, residual))
+                    if step <= tol * (1.0 + size):
+                        status = SolveStatus.CONVERGED
+                        break
+                step, size = residual, size_k
+            if status is SolveStatus.CONVERGED:
+                break
             if failure is not None:
                 raise DivergenceError(failure[1], trace=trace) from failure[2]
-            base += count
-            if base > max_iter:
-                return
-            xs[0] = xs[count]
-            length = min(2 * length, block)
-
-    # overflow in the loop is divergence, reported by the finiteness tests,
-    # not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        xs[0] = retract(problem.cset, as_vector(x0, n, name="x0"), p)
-        points = orbit()
-        _, step, size = next(points)
-        status = SolveStatus.ITERATION_LIMIT
-        for k, (x, residual, next_size) in enumerate(points, start=1):
-            trace.append((k, step, residual))
-            if step <= tol * (1.0 + size):
-                status = SolveStatus.CONVERGED
+            if base + count > max_iter:
                 break
-            step, size = residual, next_size
+            base += count
+            xs[0] = xs[count]
+            length = (min(2 * length, block) if base < 8 * block
+                      else min(base // 8, cap))
     factor = (hilbert_factor_sq(problem.cert, lam)
               if certification is Certification.HILBERT else None)
-    return SolveReport(final_point=x.copy(), iterations=len(trace),
+    return SolveReport(final_point=xs[k - base].copy(), iterations=len(trace),
                        final_residual=residual, lam=lam,
                        certification=certification, status=status,
                        contraction_factor_sq=factor, trace=trace)

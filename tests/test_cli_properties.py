@@ -146,3 +146,43 @@ def test_trace_rows_have_the_bytes_of_printf_formatting(rows):
     _write_trace(out, rows)
     assert out.getvalue() == "iter,step_norm,residual\n" + "".join(
         "%d,%.17g,%.17g\n" % row for row in rows)
+
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
+                                  float("-inf"), 5e-324, -5e-324,
+                                  2.2250738585072014e-308])
+
+
+@st.composite
+def chained_traces(draw):
+    """Rows (k, step, residual) whose residual is the next row's step
+    object, as in a solve's trace, or a fresh float with its bits, its
+    negation (+-0.0 are equal with different text) or any other float."""
+    floats = st.one_of(FLOAT_BITS, SPECIAL_FLOATS)
+    steps = draw(st.lists(floats, max_size=40))
+    rows = []
+    for k, step in enumerate(steps, start=1):
+        after = steps[k] if k < len(steps) else draw(floats)
+        link = draw(st.sampled_from(["same", "fresh", "negated", "other"]))
+        if link == "same":
+            residual = after
+        elif link == "fresh":
+            residual = _from_bits(struct.unpack("<Q", struct.pack("<d", after))[0])
+        elif link == "negated":
+            residual = -after
+        else:
+            residual = draw(floats)
+        rows.append((k, step, residual))
+    return rows
+
+
+@given(chained_traces())
+@example([(1, 1.0, -0.0), (2, 0.0, 0.5), (3, 0.5, 0.5)])
+@example([(1, 2.0, float("nan")), (2, float("nan"), 5e-324),
+          (3, 5e-324, float("inf"))])
+@settings(deadline=None)
+def test_chained_trace_rows_have_the_bytes_of_printf_formatting(rows):
+    out = io.StringIO()
+    _write_trace(out, rows)
+    assert out.getvalue() == "iter,step_norm,residual\n" + "".join(
+        "%d,%.17g,%.17g\n" % row for row in rows)

@@ -216,11 +216,13 @@ def test_draw_pairs_forms_each_quantity_with_its_kernels_bits(p):
 def test_constant_validation():
     sample = draw_pairs(_identity(), BOX, 2, 10, seed=0)
     # NaN fails every comparison, so it is refused, not turned into a NaN
-    # worst slack
-    for u, v in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+    # worst slack; an infinite constant, as Certificate refuses it, would
+    # give a vacuous worst slack of inf, -inf or NaN
+    for u, v in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                 (math.inf, 1.0), (1.0, math.inf)):
         with pytest.raises(InvalidInputError, match="u, v must be positive"):
             check_relaxed_cocoercive(sample, u=u, v=v)
-    for v in (-1.0, math.nan):
+    for v in (-1.0, math.nan, math.inf):
         with pytest.raises(InvalidInputError, match="v must be positive"):
             check_strongly_monotone(sample, v=v)
     with pytest.raises(InvalidInputError):

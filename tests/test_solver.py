@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import sys
@@ -804,12 +803,113 @@ def test_long_clamped_cli_solve_writes_the_reference_bytes(p, tmp_path,
         cfg.problem, 1.0, cfg.solver.x0)
     assert status is SolveStatus.CONVERGED and iterations >= 10 ** 4
     assert point[0] == 1.0
-    expected = io.StringIO()
-    cli._write_trace(expected, trace)
-    assert out.read_bytes() == expected.getvalue().encode()
+    # per-row text, independent of the writer under test
+    expected = "iter,step_norm,residual\n" + "".join(
+        "%d,%.17g,%.17g\n" % row for row in trace)
+    assert out.read_bytes() == expected.encode()
     assert record["final_point"] == cli._vec(point)
     assert (record["iterations"], record["final_residual"],
             record["status"]) == (iterations, residual, status.value)
+
+
+def _blocks(n, stop):
+    """(first iterate, rows) of each block picard_solve advances from an
+    iterate before stop, by its documented schedule: 1, 2, 4, ... up to
+    K rows over the first 8 K iterates, then an eighth of the iterates
+    done, up to max(K, min(64, 4096 // n)) rows."""
+    k = solver_module._block_size(n)
+    cap = max(k, min(64, 4096 // n))
+    blocks, base, rows = [], 0, 1
+    while base < stop:
+        blocks.append((base, rows))
+        base += rows
+        rows = min(2 * rows, k) if base < 8 * k else min(base // 8, cap)
+    return blocks
+
+
+def _slow_box(n):
+    """B = 0.001 (x - c) on [-1, 1]^n at p = 3, with c outside the box in
+    some coordinates: at lam = 1 the free coordinates close in by a factor
+    0.999 a step, so a solve runs for thousands of iterates. Returns
+    (problem, x0)."""
+    rng = np.random.default_rng(n)
+    c = rng.uniform(-2.0, 2.0, n)
+    prob = Problem(SpaceSpec(n, 3.0), Box([-1.0] * n, [1.0] * n),
+                   Affine(0.001 * np.eye(n), -0.001 * c))
+    return prob, rng.uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n, cap", [(2, 64), (100, 40)])
+def test_grown_blocks_match_the_reference_at_every_offset(n, cap):
+    # the last row settled at every offset of the first two blocks past
+    # K rows and of the first block at the cap
+    prob, x0 = _slow_box(n)
+    blocks = _blocks(n, 10 ** 4)
+    grown = [block for block in blocks
+             if block[1] > solver_module._block_size(n)]
+    at_cap = next(block for block in blocks if block[1] == cap)
+    assert grown[:2] == [(143, 17), (160, 20)] and at_cap[1] > grown[1][1]
+    for base, rows in grown[:2] + [at_cap]:
+        for max_iter in range(base, base + rows):
+            rep = assert_matches_reference(lambda: prob, 1.0, x0, tol=1e-13,
+                                           max_iter=max_iter)
+            assert rep.status is SolveStatus.ITERATION_LIMIT
+
+
+def test_a_black_box_past_a_stop_in_a_grown_block():
+    # B(x) = x / 100 at lam = 1 takes x to 0.99 x inside the box, so the
+    # stop test's ratio |x_k - x_{k+1}| / (1 + |x_k|) falls every step,
+    # and a tol just above its value at k = s - 1 stops at iteration s
+    calls = [0]
+
+    def slow(x):
+        calls[0] += 1
+        return 0.01 * x
+
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    prob = Problem(SpaceSpec(2, 3.0), box, BlackBox(slow, 2))
+    orbit = [np.array([1.0, 0.7])]
+    for _ in range(1500):
+        orbit.append(reference_retract(box, orbit[-1] - 1.0 * (0.01 * orbit[-1])))
+    ratios = [reference_norm(x - y, 3.0) / (1.0 + reference_norm(x, 3.0))
+              for x, y in zip(orbit, orbit[1:])]
+    # the first and last row of every block past iteration 130, where the
+    # waste is largest and smallest, and a stride between them
+    blocks = _blocks(2, 1501)
+    stops = {s for base, rows in blocks if base >= 130
+             for s in (base, base + rows - 1) if s <= 1500}
+    stops |= set(range(130, 1501, 37))
+    cap = 64
+    for s in sorted(stops):
+        calls[0] = 0
+        rep = picard_solve(prob, 1.0, orbit[0], tol=ratios[s - 1] * (1 + 1e-9))
+        assert rep.status is SolveStatus.CONVERGED and rep.iterations == s
+        # iteration s stops once B has been evaluated at x_0 to x_s; the
+        # block that holds x_s evaluates it on to the block's last row
+        assert calls[0] == next(base + rows for base, rows in blocks
+                                if s < base + rows)
+        waste = calls[0] - (s + 1)
+        bound = (min(s, BLOCK_AT_N2 - 1) if s < 8 * BLOCK_AT_N2
+                 else min(s // 8, cap) - 1)
+        assert 0 <= waste <= bound and waste < min(s / 8 + 1, 64)
+
+
+@pytest.mark.parametrize("n", [2, 100])
+def test_every_trace_chains_by_identity(n):
+    # the trace writer formats a residual once, as the next row's step,
+    # when it is that very float object
+    prob, x0 = _slow_box(n)
+    converged = picard_solve(prob, 1.0, x0, tol=1e-8)
+    limited = picard_solve(prob, 1.0, x0, max_iter=700)
+    with pytest.raises(DivergenceError) as info:
+        picard_solve(Problem(SpaceSpec(n, 3.0), WholeSpace(n),
+                             Affine(-np.eye(n))), 2.0, np.ones(n))
+    assert converged.status is SolveStatus.CONVERGED
+    assert limited.status is SolveStatus.ITERATION_LIMIT
+    traces = [converged.trace, limited.trace, info.value.trace]
+    assert min(len(trace) for trace in traces) > 600
+    for trace in traces:
+        assert all(row[2] is after[1] for row, after in zip(trace, trace[1:]))
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
