@@ -276,6 +276,54 @@ def test_solve_refuses_an_ini_line_without_a_delimiter(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+COMMAND_ARGS = {"solve": ["--out", "t.csv"], "oracle": ["--grid", "5,5"],
+                "check-map": []}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_a_config_that_is_not_utf8_is_refused_in_one_line(tmp_path, capsys,
+                                                          monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    # one Latin-1 byte, an e with an acute accent, in a comment
+    data = textwrap.dedent(BOX_IDENTITY).encode() + b"# caf\xe9\n"
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes(data)
+    code, out, err = run(capsys, command, "--config", str(cfg),
+                         *COMMAND_ARGS[command])
+    line = data.count(b"\n")
+    assert (code, out) == (2, "")
+    assert err == (f"error: malformed config {str(cfg)!r}: line {line}:"
+                   f" byte 0xe9 is not UTF-8\n")
+
+
+@pytest.mark.parametrize("text, line, detail", [
+    ("\ufeff" + textwrap.dedent(BOX_IDENTITY), 1,
+     "'\\ufeff' comes before the first section header"),
+    (BOX_IDENTITY.replace("n = 2", "n 2"), 3, "'n 2' is not 'key = value'"),
+    (BOX_IDENTITY.replace("n = 2", "n 2").replace("\n", "\r\n"), 3,
+     "'n 2' is not 'key = value'"),
+    (BOX_IDENTITY.replace("n = 2", "= 2"), 3, "'= 2' has no key"),
+    (BOX_IDENTITY.replace("p = 2", "N = 3"), 4,
+     "key 'n' appears twice in [space]"),
+    (BOX_IDENTITY + "\n    [set]\n", BOX_IDENTITY.count("\n") + 2,
+     "section [set] appears twice"),
+    ("x0 = 2 2\n" + BOX_IDENTITY, 1,
+     "'x0 = 2 2' comes before the first section header"),
+], ids=["byte-order-mark", "no-delimiter", "crlf-no-delimiter", "no-key",
+        "repeated-key", "repeated-section", "before-any-section"])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_a_malformed_config_is_refused_in_one_line(tmp_path, capsys,
+                                                   monkeypatch, command,
+                                                   text, line, detail):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(text.encode())
+    code, out, err = run(capsys, command, "--config", str(cfg),
+                         *COMMAND_ARGS[command])
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed config {str(cfg)!r}: line {line}: {detail}\n"
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("    hi = 2 2\n", "", "[set] hi: required key is missing"),
     ("matrix = 1 0\n             0 1", "matrix = 1 0 0 inf",

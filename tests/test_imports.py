@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, and
 none is an underscore name of a sibling module. Only `spaces` sets a block
-budget.
+budget, and no module imports configparser.
 
 The package's __init__ imports names only to re-export them, so it is left
 out. An import that nothing reads is dead weight, and after a function
@@ -9,6 +9,8 @@ belongs to its module: a sibling that imports one shares a decision, such
 as how `spaces` lays out a block of rows, that should have one owner. How
 many rows a block holds is another such decision: `spaces.row_blocks` cuts
 every block, so no other module keeps a `*_BLOCK_ELEMS` budget of its own.
+`config` reads INI files with a reader of its own, so a second reader
+behind it would be a second grammar to keep equal to the first.
 """
 
 import ast
@@ -54,6 +56,16 @@ def block_budgets(source: str) -> list[str]:
     return sorted(names)
 
 
+def configparser_imports(source: str) -> list[int]:
+    """The lines that import configparser or a name from it."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "configparser"
+                    for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "configparser"]
+
+
 def test_the_walk_finds_an_unused_import():
     source = ("from .errors import InvalidInputError, ShapeError\n"
               "import numpy as np\n"
@@ -82,6 +94,16 @@ def test_the_walk_finds_a_block_budget():
                                      "_SCAN_BLOCK_ELEMS"]
 
 
+def test_the_walk_finds_a_configparser_import():
+    source = ("import re, configparser as cp\n"
+              "from configparser import ConfigParser\n"
+              "from .configparser import x\n"
+              "def f():\n"
+              "    import configparser\n"
+              "    return configparser_like\n")
+    assert configparser_imports(source) == [1, 2, 5]
+
+
 def test_the_package_has_modules_to_check():
     assert {path.name for path in MODULES} >= {"cli.py", "oracle.py", "sets.py"}
 
@@ -100,3 +122,9 @@ def test_no_module_imports_a_private_name_of_a_sibling(path):
 def test_only_spaces_sets_a_block_budget(path):
     budgets = block_budgets(path.read_text(encoding="utf-8"))
     assert budgets == (["_ROW_BLOCK_ELEMS"] if path.name == "spaces.py" else [])
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_configparser(path):
+    assert configparser_imports(path.read_text(encoding="utf-8")) == []
